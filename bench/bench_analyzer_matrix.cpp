@@ -21,6 +21,7 @@
 #include "analysis/port_dist.h"
 #include "analysis/redirects.h"
 #include "analysis/scan.h"
+#include "analysis/string_discovery.h"
 #include "analysis/top_domains.h"
 #include "analysis/traffic_stats.h"
 #include "analysis/user_stats.h"
@@ -192,6 +193,22 @@ void BM_KeywordWeather(benchmark::State& state) {
   });
 }
 MATRIX_BENCH(BM_KeywordWeather);
+
+// §5.4 string discovery's own ledger row. No bridge cell: the row path
+// already is the reference, and the bridge would only time the load.
+void BM_StringDiscovery(benchmark::State& state) {
+  run_matrix(state, [](const analysis::LogSource& src, std::size_t threads) {
+    benchmark::DoNotOptimize(
+        analysis::discover_censored_strings(src, {}, threads)
+            .censored_requests_explained);
+  });
+}
+BENCHMARK(BM_StringDiscovery)
+    ->Arg(kRow1)
+    ->Arg(kRow8)
+    ->Arg(kCol1)
+    ->Arg(kCol8)
+    ->Unit(benchmark::kMillisecond);
 
 #undef MATRIX_BENCH
 

@@ -1,11 +1,12 @@
 #include "analysis/string_discovery.h"
 
 #include <algorithm>
+#include <atomic>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "net/domain.h"
 #include "net/ipv4.h"
+#include "util/parallel.h"
 #include "util/strings.h"
 
 namespace syrwatch::analysis {
@@ -13,6 +14,9 @@ namespace syrwatch::analysis {
 namespace {
 
 constexpr std::size_t kMinTokenLength = 5;
+/// Censored rows a token must reach inside paths/queries to be a keyword
+/// candidate (host-only strings are the domain generator's business).
+constexpr std::uint64_t kMinPathQueryRows = 3;
 
 bool all_digits(std::string_view s) noexcept {
   for (char c : s) {
@@ -38,13 +42,71 @@ void for_each_token(std::string_view text, Fn&& fn) {
   }
 }
 
+/// Record::filter_text() lower-cased, appended to `out` without temporaries.
+void append_filter_text_lower(std::string& out, const Record& r) {
+  util::append_lower(out, r.host);
+  util::append_lower(out, r.path);
+  if (!r.query.empty()) {
+    out += '?';
+    util::append_lower(out, r.query);
+  }
+}
+
+/// Dense ids for the distinct strings of the censored set; the views point
+/// into rows that outlive the loop.
+class Interner {
+ public:
+  std::uint32_t intern(std::string_view text) {
+    const auto [it, fresh] =
+        ids_.try_emplace(text, static_cast<std::uint32_t>(texts_.size()));
+    if (fresh) texts_.push_back(text);
+    return it->second;
+  }
+  std::string_view text(std::uint32_t id) const { return texts_[id]; }
+  std::size_t size() const noexcept { return texts_.size(); }
+
+ private:
+  std::unordered_map<std::string_view, std::uint32_t> ids_;
+  std::vector<std::string_view> texts_;
+};
+
+/// A distinct eligible token of one censored row.
+struct RowToken {
+  std::uint32_t id = 0;
+  bool in_path_query = false;  // also occurs in the path/query
+};
+
 struct CensoredRow {
-  std::string filter_text;   // lower-cased host+path?query
-  std::string host;          // lower-cased
-  std::string domain;        // registrable
-  std::string path_query;    // lower-cased path + query (token eligibility)
-  bool anchor = false;       // bare-domain request (paper's §5.4 rule)
+  std::string filter_text;    // lower-cased host+path?query
+  std::size_t host_size = 0;  // filter_text's host prefix
+  std::string_view domain;    // registrable (the backend's, lower-case)
+  std::uint32_t domain_id = 0;
+  std::vector<RowToken> tokens;
+  bool anchor = false;  // bare-domain request (paper's §5.4 rule)
   bool alive = true;
+
+  std::string_view host() const {
+    return std::string_view{filter_text}.substr(0, host_size);
+  }
+  std::string_view path_query() const {
+    return std::string_view{filter_text}.substr(host_size);
+  }
+};
+
+/// A loop candidate. The argmax is explicit so the pick never depends on
+/// hash-table order: higher count first; on equal count a domain beats a
+/// token; then lower text first.
+struct Candidate {
+  std::uint64_t count = 0;
+  bool is_domain = false;
+  std::uint32_t id = 0;  // domain or token id
+  std::string_view text;
+
+  bool beats(const Candidate& other) const {
+    if (count != other.count) return count > other.count;
+    if (is_domain != other.is_domain) return is_domain;
+    return text < other.text;
+  }
 };
 
 }  // namespace
@@ -61,68 +123,99 @@ DiscoveryResult discover_censored_strings(const LogSource& source,
                                           std::size_t threads) {
   DiscoveryResult result;
 
-  // ---- Materialize the censored set C and the allowed reference A -------
-  // This is the hot phase. Candidate maps downstream iterate in insertion
-  // order, so the fold concatenates censored rows in partition order to
-  // keep the global row order; the allowed sets/corpus are only ever
-  // membership-tested, so union order is free.
+  // ---- Materialize the censored set C and what the loop asks of A -------
+  // The loop asks the allowed set A exactly three things: is a domain
+  // never allowed, is a host never allowed, and is a token a substring of
+  // some lower-cased allowed filter text. So an allowed row costs one
+  // append to the corpus and one host-id insert; a host is lower-cased
+  // once per partition it occurs in, into the partition's host text. The
+  // backend's registrable domain is already lower-case, since
+  // net::registrable_domain lower-cases its input.
+  struct AllowedHost {
+    std::uint32_t id = 0;
+    std::size_t offset = 0;  // lower-cased host in Partial::allowed_host_text
+    std::size_t size = 0;
+    std::string_view domain;
+  };
   struct Partial {
     std::vector<CensoredRow> censored;
-    std::unordered_set<std::string> allowed_domains;
-    std::unordered_set<std::string> allowed_hosts;
-    std::unordered_set<std::string> allowed_tokens;
+    std::unordered_set<std::uint32_t> allowed_host_ids;
+    std::vector<AllowedHost> allowed_hosts;
+    std::string allowed_host_text;
     std::string allowed_corpus;  // '\n'-joined, for exact substring checks
     std::vector<std::string> proxied_texts;
   };
   auto partials = scan_partials<Partial>(
       source, threads, [&](Partial& p, const Record& r) {
         if (r.cls == proxy::TrafficClass::kCensored) {
-          CensoredRow cr;
-          cr.host = util::to_lower(r.host);
-          if (net::looks_like_ipv4(cr.host)) return;  // IP filtering: §5.4's
-                                                      // separate analysis
-          cr.domain = net::registrable_domain(cr.host);
-          const std::string path = util::to_lower(r.path);
-          const std::string query = util::to_lower(r.query);
-          cr.path_query = path + (query.empty() ? "" : "?" + query);
-          cr.filter_text = cr.host + cr.path_query;
-          cr.anchor = query.empty() && (path.empty() || path == "/");
-          p.censored.push_back(std::move(cr));
+          // IP filtering is §5.4's separate analysis.
+          if (net::looks_like_ipv4(r.host)) return;
+          CensoredRow& cr = p.censored.emplace_back();
+          append_filter_text_lower(cr.filter_text, r);
+          cr.host_size = r.host.size();
+          cr.domain = r.domain;
+          cr.anchor = r.query.empty() && (r.path.empty() || r.path == "/");
         } else if (r.cls == proxy::TrafficClass::kAllowed) {
-          const std::string text = util::to_lower(r.filter_text());
-          const std::string host = util::to_lower(r.host);
-          p.allowed_hosts.insert(host);
-          p.allowed_domains.insert(net::registrable_domain(host));
-          for_each_token(text, [&](std::string_view token) {
-            if (token.size() >= kMinTokenLength && !all_digits(token))
-              p.allowed_tokens.emplace(token);
-          });
-          p.allowed_corpus += text;
+          if (p.allowed_host_ids.insert(r.host_id).second) {
+            p.allowed_hosts.push_back({r.host_id, p.allowed_host_text.size(),
+                                       r.host.size(), r.domain});
+            util::append_lower(p.allowed_host_text, r.host);
+          }
+          append_filter_text_lower(p.allowed_corpus, r);
           p.allowed_corpus += '\n';
         } else if (r.cls == proxy::TrafficClass::kProxied) {
-          p.proxied_texts.push_back(util::to_lower(r.filter_text()));
+          append_filter_text_lower(p.proxied_texts.emplace_back(), r);
         }
       });
 
+  // The fold moves C into one vector and indexes each distinct allowed
+  // host id's host and domain by text (two ids may lower-case to the same
+  // host); the partials stay alive as the storage those views and the
+  // corpus live in.
   std::vector<CensoredRow> censored;
-  std::unordered_set<std::string> allowed_domains;
-  std::unordered_set<std::string> allowed_hosts;
-  std::unordered_set<std::string> allowed_tokens;
-  std::string allowed_corpus;
   std::vector<std::string> proxied_texts;
+  std::vector<bool> host_seen;  // by host id
+  std::unordered_set<std::string_view> allowed_hosts;
+  std::unordered_set<std::string_view> allowed_domains;
+  std::size_t host_refs = 0;
+  for (const Partial& p : partials) host_refs += p.allowed_hosts.size();
+  allowed_hosts.reserve(host_refs);
+  allowed_domains.reserve(host_refs);
   for (Partial& p : partials) {
     censored.insert(censored.end(),
                     std::make_move_iterator(p.censored.begin()),
                     std::make_move_iterator(p.censored.end()));
-    allowed_domains.merge(p.allowed_domains);
-    allowed_hosts.merge(p.allowed_hosts);
-    allowed_tokens.merge(p.allowed_tokens);
-    allowed_corpus += p.allowed_corpus;
     proxied_texts.insert(proxied_texts.end(),
                          std::make_move_iterator(p.proxied_texts.begin()),
                          std::make_move_iterator(p.proxied_texts.end()));
+    const std::string_view host_text = p.allowed_host_text;
+    for (const AllowedHost& h : p.allowed_hosts) {
+      if (h.id >= host_seen.size()) host_seen.resize(h.id + 1);
+      if (host_seen[h.id]) continue;
+      host_seen[h.id] = true;
+      allowed_hosts.insert(host_text.substr(h.offset, h.size));
+      allowed_domains.insert(h.domain);
+    }
   }
-  partials.clear();
+
+  // ---- Tokenize each censored row once ----------------------------------
+  // `censored` no longer moves, so the interners may view into its rows.
+  Interner domains;
+  Interner tokens;
+  for (CensoredRow& row : censored) {
+    row.domain_id = domains.intern(row.domain);
+    const std::string_view path_query = row.path_query();
+    for_each_token(row.filter_text, [&](std::string_view token) {
+      if (token.size() < kMinTokenLength || all_digits(token)) return;
+      const std::uint32_t id = tokens.intern(token);
+      const bool seen = std::any_of(  // count once per request
+          row.tokens.begin(), row.tokens.end(),
+          [&](const RowToken& t) { return t.id == id; });
+      if (seen) return;
+      row.tokens.push_back(
+          {id, path_query.find(token) != std::string_view::npos});
+    });
+  }
 
   result.censored_requests_total = censored.size();
   const std::uint64_t threshold = std::max<std::uint64_t>(
@@ -130,25 +223,29 @@ DiscoveryResult discover_censored_strings(const LogSource& source,
       static_cast<std::uint64_t>(options.min_support *
                                  static_cast<double>(censored.size())));
 
-  auto never_allowed_domain = [&](const std::string& domain) {
+  auto never_allowed_domain = [&](std::string_view domain) {
     return allowed_domains.count(domain) == 0;
   };
-  auto never_allowed_host = [&](const std::string& host) {
+  auto never_allowed_host = [&](std::string_view host) {
     return allowed_hosts.count(host) == 0;
   };
-  auto in_allowed = [&](const std::string& needle) {
-    // Token-set prefilter, then the authoritative substring scan.
-    if (allowed_tokens.count(needle) != 0) return true;
-    return allowed_corpus.find(needle) != std::string::npos;
+  // Tokens never contain the '\n' that ends every allowed text, so
+  // searching each partition's corpus equals searching their concatenation;
+  // the partitions are searched in parallel.
+  auto in_allowed = [&](std::string_view needle) {
+    std::atomic<bool> found{false};
+    util::parallel_for(partials.size(), threads, [&](std::size_t i) {
+      const std::string& corpus = partials[i].allowed_corpus;
+      if (!found && corpus.find(needle) != std::string::npos) found = true;
+    });
+    return found.load();
   };
-  auto count_proxied = [&](const std::string& text, bool is_domain) {
+  auto count_proxied = [&](std::string_view text, bool is_domain) {
     std::uint64_t count = 0;
     for (const std::string& pt : proxied_texts) {
       if (is_domain) {
-        const auto slash = pt.find('/');
         const std::string_view host =
-            slash == std::string::npos ? std::string_view{pt}
-                                       : std::string_view{pt}.substr(0, slash);
+            std::string_view{pt}.substr(0, pt.find('/'));
         if (util::host_matches_domain(host, text)) ++count;
       } else if (pt.find(text) != std::string::npos) {
         ++count;
@@ -156,133 +253,114 @@ DiscoveryResult discover_censored_strings(const LogSource& source,
     }
     return count;
   };
+  auto remove_by_domain = [&](std::string_view domain) {
+    std::uint64_t removed = 0;
+    for (CensoredRow& row : censored) {
+      if (row.alive && util::host_matches_domain(row.host(), domain)) {
+        row.alive = false;
+        ++removed;
+      }
+    }
+    return removed;
+  };
+  auto remove_by_keyword = [&](std::string_view keyword) {
+    std::uint64_t removed = 0;
+    for (CensoredRow& row : censored) {
+      if (row.alive && row.filter_text.find(keyword) != std::string::npos) {
+        row.alive = false;
+        ++removed;
+      }
+    }
+    return removed;
+  };
+  auto accept_domain = [&](std::string_view domain) {
+    const std::uint64_t removed = remove_by_domain(domain);
+    result.domains.push_back(
+        {std::string{domain}, true, removed, count_proxied(domain, true)});
+    result.censored_requests_explained += removed;
+  };
 
-  std::unordered_set<std::string> rejected_tokens;
-  std::unordered_set<std::string> rejected_domains;
+  std::vector<std::uint8_t> rejected_domain(domains.size());
+  std::vector<std::uint8_t> rejected_token(tokens.size());
+  std::vector<std::uint8_t> anchored(domains.size());
+  std::vector<std::uint64_t> domain_rows(domains.size());
+  std::vector<std::uint64_t> token_rows(tokens.size());
+  std::vector<std::uint64_t> token_path_query_rows(tokens.size());
 
   // ---- The iterative loop of §5.4 ---------------------------------------
   while (result.keywords.size() + result.domains.size() <
          options.max_strings) {
     // Candidate generation over the live rows.
-    std::unordered_map<std::string, std::uint64_t> anchor_domains;
-    std::unordered_map<std::string, std::uint64_t> token_counts;
-    std::unordered_map<std::string, std::uint64_t> token_pathquery_counts;
+    std::fill(anchored.begin(), anchored.end(), 0);
+    std::fill(domain_rows.begin(), domain_rows.end(), 0);
+    std::fill(token_rows.begin(), token_rows.end(), 0);
+    std::fill(token_path_query_rows.begin(), token_path_query_rows.end(), 0);
     for (const CensoredRow& row : censored) {
       if (!row.alive) continue;
-      if (row.anchor && rejected_domains.count(row.domain) == 0)
-        ++anchor_domains[row.domain];
-      std::unordered_set<std::string_view> seen;  // count once per request
-      for_each_token(row.filter_text, [&](std::string_view token) {
-        if (token.size() < kMinTokenLength || all_digits(token)) return;
-        if (!seen.insert(token).second) return;
-        const std::string key{token};
-        if (rejected_tokens.count(key) != 0) return;
-        ++token_counts[key];
-        if (row.path_query.find(token) != std::string::npos)
-          ++token_pathquery_counts[key];
-      });
-    }
-
-    // Anchor-domain support = total live rows on the domain (the anchor
-    // only disambiguates, as in the paper; the count is the domain's).
-    std::unordered_map<std::string, std::uint64_t> domain_counts;
-    for (const CensoredRow& row : censored) {
-      if (!row.alive) continue;
-      if (anchor_domains.count(row.domain) != 0) ++domain_counts[row.domain];
-    }
-
-    // Pick the globally most frequent candidate.
-    std::string best;
-    std::uint64_t best_count = 0;
-    bool best_is_domain = false;
-    for (const auto& [domain, count] : domain_counts) {
-      if (count > best_count) {
-        best = domain;
-        best_count = count;
-        best_is_domain = true;
+      if (row.anchor && rejected_domain[row.domain_id] == 0)
+        anchored[row.domain_id] = 1;
+      ++domain_rows[row.domain_id];
+      for (const RowToken& t : row.tokens) {
+        if (rejected_token[t.id] != 0) continue;
+        ++token_rows[t.id];
+        if (t.in_path_query) ++token_path_query_rows[t.id];
       }
     }
-    for (const auto& [token, count] : token_counts) {
-      // Tokens must occur in paths/queries, not only inside hostnames —
-      // host-only strings are the domain generator's business.
-      const auto pq = token_pathquery_counts.find(token);
-      if (pq == token_pathquery_counts.end() || pq->second < 3) continue;
-      if (count > best_count) {
-        best = token;
-        best_count = count;
-        best_is_domain = false;
-      }
-    }
-    if (best_count < threshold) break;
 
-    auto remove_by_domain = [&](const std::string& domain) {
-      std::uint64_t removed = 0;
-      for (CensoredRow& row : censored) {
-        if (row.alive && util::host_matches_domain(row.host, domain)) {
-          row.alive = false;
-          ++removed;
-        }
-      }
-      return removed;
+    // Pick the globally best candidate. An anchored domain's support is
+    // all its live rows (the anchor only disambiguates, as in the paper);
+    // tokens must occur in paths/queries, not only inside hostnames.
+    Candidate best;
+    auto consider = [&](const Candidate& candidate) {
+      if (candidate.beats(best)) best = candidate;
     };
-    auto remove_by_keyword = [&](const std::string& keyword) {
-      std::uint64_t removed = 0;
-      for (CensoredRow& row : censored) {
-        if (row.alive &&
-            row.filter_text.find(keyword) != std::string::npos) {
-          row.alive = false;
-          ++removed;
-        }
-      }
-      return removed;
-    };
+    for (std::uint32_t d = 0; d < domains.size(); ++d) {
+      if (anchored[d] != 0)
+        consider({domain_rows[d], true, d, domains.text(d)});
+    }
+    for (std::uint32_t t = 0; t < tokens.size(); ++t) {
+      if (token_path_query_rows[t] >= kMinPathQueryRows)
+        consider({token_rows[t], false, t, tokens.text(t)});
+    }
+    if (best.count == 0 || best.count < threshold) break;  // 0: none left
 
-    if (best_is_domain) {
-      if (!never_allowed_domain(best)) {
-        rejected_domains.insert(best);
+    if (best.is_domain) {
+      if (!never_allowed_domain(best.text)) {
+        rejected_domain[best.id] = 1;
         continue;
       }
-      const std::uint64_t removed = remove_by_domain(best);
-      result.domains.push_back(
-          {best, true, removed, count_proxied(best, true)});
-      result.censored_requests_explained += removed;
+      accept_domain(best.text);
       continue;
     }
 
     // Token candidate: the NA = 0 test against the allowed set.
-    if (in_allowed(best)) {
-      rejected_tokens.insert(best);
-      continue;
-    }
+    rejected_token[best.id] = 1;  // accepted or not, never a candidate again
+    if (in_allowed(best.text)) continue;
     // Attribution: a token confined to a single never-allowed domain (or
     // host) is really URL filtering of that site, not keyword filtering.
-    std::unordered_set<std::string> live_domains;
-    std::unordered_set<std::string> live_hosts;
+    std::unordered_set<std::uint32_t> live_domains;
+    std::unordered_set<std::string_view> live_hosts;
     for (const CensoredRow& row : censored) {
-      if (row.alive && row.filter_text.find(best) != std::string::npos) {
-        live_domains.insert(row.domain);
-        live_hosts.insert(row.host);
+      if (row.alive && row.filter_text.find(best.text) != std::string::npos) {
+        live_domains.insert(row.domain_id);
+        live_hosts.insert(row.host());
       }
     }
     if (live_domains.size() == 1) {
-      const std::string domain = *live_domains.begin();
-      std::string accepted;
+      const std::string_view domain = domains.text(*live_domains.begin());
+      std::string_view accepted;
       if (never_allowed_domain(domain)) accepted = domain;
       else if (live_hosts.size() == 1 &&
                never_allowed_host(*live_hosts.begin()))
         accepted = *live_hosts.begin();
       if (!accepted.empty()) {
-        const std::uint64_t removed = remove_by_domain(accepted);
-        result.domains.push_back(
-            {accepted, true, removed, count_proxied(accepted, true)});
-        result.censored_requests_explained += removed;
-        rejected_tokens.insert(best);  // covered by the domain entry
+        accept_domain(accepted);  // covers the token
         continue;
       }
     }
-    const std::uint64_t removed = remove_by_keyword(best);
-    result.keywords.push_back(
-        {best, false, removed, count_proxied(best, false)});
+    const std::uint64_t removed = remove_by_keyword(best.text);
+    result.keywords.push_back({std::string{best.text}, false, removed,
+                               count_proxied(best.text, false)});
     result.censored_requests_explained += removed;
   }
 
@@ -305,14 +383,13 @@ DiscoveryResult discover_censored_strings(const LogSource& source,
                           il_entries.end());
   }
 
-  std::sort(result.domains.begin(), result.domains.end(),
-            [](const DiscoveredString& a, const DiscoveredString& b) {
-              return a.censored > b.censored;
-            });
-  std::sort(result.keywords.begin(), result.keywords.end(),
-            [](const DiscoveredString& a, const DiscoveredString& b) {
-              return a.censored > b.censored;
-            });
+  // Stable: equal counts keep their acceptance order.
+  auto by_censored = [](const DiscoveredString& a, const DiscoveredString& b) {
+    return a.censored > b.censored;
+  };
+  std::stable_sort(result.domains.begin(), result.domains.end(), by_censored);
+  std::stable_sort(result.keywords.begin(), result.keywords.end(),
+                   by_censored);
   return result;
 }
 

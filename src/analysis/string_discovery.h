@@ -49,10 +49,16 @@ struct DiscoveryResult {
   std::vector<std::string> domain_names() const;
 };
 
-/// The §5.4 loop itself is inherently sequential (each accepted string
-/// reshapes the live set), but the expensive part — lower-casing and
-/// tokenizing every record into the C/A/PROXIED working sets — scans in
-/// parallel; `threads` governs that phase only.
+/// Cost scales with the censored set C, not the allowed set A. The loop
+/// asks A only whether a domain or host was ever allowed and whether a
+/// token occurs in some allowed URL, so the parallel scan reduces each
+/// allowed row to a host id and its lower-cased URL in a substring corpus
+/// (a host is lower-cased once per partition it occurs in). Censored rows
+/// are tokenized once into dense ids; the §5.4 loop itself is sequential
+/// (each accepted string reshapes the live set) and counts over those
+/// ids. `threads` governs the scan and the corpus search. Ties between
+/// candidates break explicitly (higher count, then domain before keyword,
+/// then lower text), so the output never depends on hash-table order.
 DiscoveryResult discover_censored_strings(const LogSource& source,
                                           const DiscoveryOptions& options = {},
                                           std::size_t threads = 1);

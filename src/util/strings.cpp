@@ -19,6 +19,13 @@ std::string to_lower(std::string_view s) {
   return out;
 }
 
+void append_lower(std::string& out, std::string_view s) {
+  const std::size_t at = out.size();
+  out += s;
+  std::transform(out.begin() + static_cast<std::ptrdiff_t>(at), out.end(),
+                 out.begin() + static_cast<std::ptrdiff_t>(at), ascii_lower);
+}
+
 bool contains(std::string_view haystack, std::string_view needle) noexcept {
   return haystack.find(needle) != std::string_view::npos;
 }

@@ -10,6 +10,9 @@ namespace syrwatch::util {
 /// ASCII lower-casing (the log fields we match against are ASCII URLs).
 std::string to_lower(std::string_view s);
 
+/// Appends `s` lower-cased to `out` — to_lower without the temporary.
+void append_lower(std::string& out, std::string_view s);
+
 /// Case-sensitive substring test.
 bool contains(std::string_view haystack, std::string_view needle) noexcept;
 

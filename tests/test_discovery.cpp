@@ -3,7 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "analysis/columnar.h"
 #include "analysis/string_discovery.h"
+#include "colfmt/container.h"
+#include "workload/scenario.h"
 
 namespace {
 
@@ -34,17 +43,57 @@ DiscoveryOptions low_threshold() {
   return options;
 }
 
+/// Every field of a result, in output order — the golden and the
+/// both-backend tests compare these strings.
+std::string serialize(const DiscoveryResult& result) {
+  std::ostringstream out;
+  out << result.censored_requests_explained << '/'
+      << result.censored_requests_total << '\n';
+  auto put = [&](const std::vector<DiscoveredString>& list) {
+    for (const auto& s : list)
+      out << s.text << (s.is_domain ? " D " : " K ") << s.censored << '/'
+          << s.proxied << '\n';
+  };
+  put(result.keywords);
+  out << "--\n";
+  put(result.domains);
+  return out.str();
+}
+
 class DiscoveryTest : public ::testing::Test {
  protected:
   void add_censored(const char* url, int count = 25) {
     for (int i = 0; i < count; ++i)
-      dataset_.add(rec(url, proxy::ExceptionId::kPolicyDenied));
+      add(rec(url, proxy::ExceptionId::kPolicyDenied));
   }
   void add_allowed(const char* url, int count = 25) {
-    for (int i = 0; i < count; ++i) dataset_.add(rec(url));
+    for (int i = 0; i < count; ++i) add(rec(url));
+  }
+  void add(const proxy::LogRecord& record) {
+    dataset_.add(record);
+    records_.push_back(record);
+  }
+
+  /// The same records as a SYRCOL1 container (small blocks, so the scan
+  /// really partitions), for assertions that must hold on both backends.
+  const ColumnarLog& columnar() {
+    if (!columnar_) {
+      const auto path = (std::filesystem::path(::testing::TempDir()) /
+                         "syrwatch_discovery.col")
+                            .string();
+      colfmt::WriterOptions options;
+      options.block_rows = 16;
+      colfmt::Writer writer{path, options};
+      for (const auto& record : records_) writer.add(record);
+      writer.finish();
+      columnar_ = std::make_unique<ColumnarLog>(colfmt::Reader::open(path));
+    }
+    return *columnar_;
   }
 
   Dataset dataset_;
+  std::vector<proxy::LogRecord> records_;
+  std::unique_ptr<ColumnarLog> columnar_;
 };
 
 TEST_F(DiscoveryTest, FindsKeywordAcrossDomains) {
@@ -226,6 +275,165 @@ TEST_F(DiscoveryTest, OrderedByFrequency) {
   EXPECT_EQ(result.keywords[1].text, "israel");
   ASSERT_EQ(result.domains.size(), 1u);
   EXPECT_EQ(result.domains[0].text, "metacafe.com");
+}
+
+TEST_F(DiscoveryTest, TokenInsideLongerAllowedTokenRejected) {
+  // "proxy" never occurs as a whole allowed token, only inside
+  // "proxyfoo": the NA = 0 test is a substring test on the allowed texts,
+  // so the keyword is still rejected (on both backends, any thread count).
+  add_censored("http://a.example/proxy/x?id=1", 40);
+  add_censored("http://b.example/proxy/y?id=2", 40);
+  add_allowed("http://a.example/proxyfoo", 30);
+  add_allowed("http://b.example/", 30);
+  dataset_.finalize();
+
+  const std::string expected = serialize(
+      discover_censored_strings(dataset_, low_threshold()));
+  for (const LogSource& source :
+       {LogSource{dataset_}, LogSource{columnar()}}) {
+    for (std::size_t threads : {1u, 4u}) {
+      const auto result =
+          discover_censored_strings(source, low_threshold(), threads);
+      for (const auto& kw : result.keywords) EXPECT_NE(kw.text, "proxy");
+      EXPECT_EQ(serialize(result), expected);
+    }
+  }
+}
+
+TEST_F(DiscoveryTest, MixedCaseAllowedHostRejectsDomainAndHost) {
+  // The allowed host is interned verbatim as "WWW.Example.COM", a
+  // dictionary id of its own; the allowed side compares lower-cased
+  // hosts, so neither the registrable domain nor the host qualifies.
+  add_censored("http://www.example.com/", 40);
+  add_censored("http://www.example.com/secretpage/x", 40);
+  proxy::LogRecord allowed = rec("http://www.example.com/home");
+  allowed.url.host = "WWW.Example.COM";
+  for (int i = 0; i < 30; ++i) add(allowed);
+  add_allowed("http://other.example.net/", 30);
+  dataset_.finalize();
+
+  for (const LogSource& source :
+       {LogSource{dataset_}, LogSource{columnar()}}) {
+    for (std::size_t threads : {1u, 4u}) {
+      const auto result =
+          discover_censored_strings(source, low_threshold(), threads);
+      for (const auto& domain : result.domains) {
+        EXPECT_NE(domain.text, "example.com");
+        EXPECT_NE(domain.text, "www.example.com");
+      }
+      // The path token survives as a keyword instead.
+      ASSERT_EQ(result.keywords.size(), 1u);
+      EXPECT_EQ(result.keywords[0].text, "secretpage");
+    }
+  }
+}
+
+TEST_F(DiscoveryTest, EqualCountDomainsPickLowerTextFirst) {
+  add_censored("http://zeta-site.net/", 30);
+  add_censored("http://alpha-site.net/", 30);
+  add_allowed("http://ok.net/", 50);
+  dataset_.finalize();
+
+  DiscoveryOptions options = low_threshold();
+  options.max_strings = 1;
+  auto result = discover_censored_strings(dataset_, options);
+  ASSERT_EQ(result.domains.size(), 1u);
+  EXPECT_EQ(result.domains[0].text, "alpha-site.net");
+
+  // Accepted in that order; the final ranking keeps it for equal counts.
+  result = discover_censored_strings(dataset_, low_threshold());
+  ASSERT_EQ(result.domains.size(), 2u);
+  EXPECT_EQ(result.domains[0].text, "alpha-site.net");
+  EXPECT_EQ(result.domains[1].text, "zeta-site.net");
+}
+
+TEST_F(DiscoveryTest, EqualCountTokensPickLowerTextFirst) {
+  add_censored("http://a.example/wordzz/x", 30);
+  add_censored("http://b.example/wordaa/y", 30);
+  add_allowed("http://a.example/", 30);
+  add_allowed("http://b.example/", 30);
+  dataset_.finalize();
+
+  DiscoveryOptions options = low_threshold();
+  options.max_strings = 1;
+  auto result = discover_censored_strings(dataset_, options);
+  ASSERT_EQ(result.keywords.size(), 1u);
+  EXPECT_EQ(result.keywords[0].text, "wordaa");
+
+  result = discover_censored_strings(dataset_, low_threshold());
+  ASSERT_EQ(result.keywords.size(), 2u);
+  EXPECT_EQ(result.keywords[0].text, "wordaa");
+  EXPECT_EQ(result.keywords[1].text, "wordzz");
+}
+
+TEST_F(DiscoveryTest, EqualCountDomainBeatsToken) {
+  // "aaaaword" sorts before "zz-site.net" but, on a tie, the domain
+  // candidate is taken first.
+  add_censored("http://zz-site.net/", 30);
+  add_censored("http://a.example/aaaaword/x", 30);
+  add_allowed("http://a.example/", 30);
+  dataset_.finalize();
+
+  DiscoveryOptions options = low_threshold();
+  options.max_strings = 1;
+  const auto result = discover_censored_strings(dataset_, options);
+  ASSERT_EQ(result.domains.size(), 1u);
+  EXPECT_EQ(result.domains[0].text, "zz-site.net");
+  EXPECT_TRUE(result.keywords.empty());
+}
+
+// Golden regression: a small fixed-seed scenario's full result, pinned
+// byte for byte, on both backends and at 1 and 4 threads.
+TEST(DiscoveryGolden, FixedSeedScenario) {
+  workload::ScenarioConfig config;
+  config.seed = 7;
+  config.total_requests = 120'000;
+  config.user_population = 5'000;
+  config.catalog_tail = 4'000;
+  config.torrent_contents = 500;
+  config.threads = 2;
+  workload::SyriaScenario scenario{config};
+  Dataset dataset;
+  const auto path = (std::filesystem::path(::testing::TempDir()) /
+                     "syrwatch_discovery_golden.col")
+                        .string();
+  {
+    colfmt::WriterOptions writer_options;
+    writer_options.block_rows = 4096;
+    colfmt::Writer writer{path, writer_options};
+    scenario.run([&](const proxy::LogRecord& record) {
+      dataset.add(record);
+      writer.add(record);
+    });
+    writer.finish();
+  }
+  dataset.finalize();
+  const ColumnarLog columnar{colfmt::Reader::open(path)};
+
+  DiscoveryOptions options;
+  options.min_count = 5;
+  // Captured from the implementation that materialized the allowed set
+  // row by row; ultrareach.com and walla.co.il tie at 7.
+  const std::string golden =
+      "842/893\n"
+      "proxy K 461/0\n"
+      "hotspotshield K 14/0\n"
+      "--\n"
+      "metacafe.com D 151/2\n"
+      "skype.com D 83/0\n"
+      "messenger.live.com D 45/0\n"
+      "wikimedia.org D 34/0\n"
+      "ceipmsn.com D 21/0\n"
+      "dailymotion.com D 10/0\n"
+      "amazon.com D 9/0\n"
+      "ultrareach.com D 7/0\n"
+      "walla.co.il D 7/0\n";
+  for (const LogSource& source : {LogSource{dataset}, LogSource{columnar}}) {
+    for (std::size_t threads : {1u, 4u}) {
+      EXPECT_EQ(serialize(discover_censored_strings(source, options, threads)),
+                golden);
+    }
+  }
 }
 
 }  // namespace

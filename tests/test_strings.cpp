@@ -60,6 +60,14 @@ TEST(ToLower, AsciiOnly) {
   EXPECT_EQ(to_lower("123-abc"), "123-abc");
 }
 
+TEST(AppendLower, KeepsPrefixAndLowersTheTail) {
+  std::string out = "Host/";
+  append_lower(out, "PATH?Q=1");
+  EXPECT_EQ(out, "Host/path?q=1");
+  append_lower(out, "");
+  EXPECT_EQ(out, "Host/path?q=1");
+}
+
 TEST(Contains, Basic) {
   EXPECT_TRUE(contains("hello world", "lo wo"));
   EXPECT_FALSE(contains("hello", "Hello"));

@@ -23,6 +23,12 @@
 #
 #   tools/ci-sanitize.sh 'obs|cli|parallel|scenario'
 #
+# §5.4 string discovery resolves allowed hosts per partition on the scan's
+# worker threads and searches the allowed corpus in parallel; run its
+# tests and the cross-backend identity suite under both sanitizers:
+#
+#   tools/ci-sanitize.sh 'discovery|scan_identity'
+#
 # Build trees live in build-tsan/ and build-asan/ next to the source tree,
 # so a regular build/ directory is left untouched.
 
