@@ -39,7 +39,7 @@ void print_reproduction() {
   for (const auto& row : full.rows()) {
     const auto ip = net::Ipv4Addr::parse(full.host(row));
     if (!ip || !relays.contains(*ip, row.port)) continue;
-    const auto cls = full.cls(row);
+    const auto cls = proxy::classify(row.result, row.exception);
     if (cls != proxy::TrafficClass::kAllowed &&
         cls != proxy::TrafficClass::kCensored)
       continue;

@@ -1,6 +1,6 @@
 // Table 1: dataset sizes and periods (Dfull / Dsample / Duser / Ddenied).
 
-#include "analysis/traffic_stats.h"
+#include "analysis/scan.h"
 #include "bench_common.h"
 
 namespace {
@@ -19,38 +19,29 @@ void print_reproduction() {
   TextTable table{{"Dataset", "# Requests", "% of Dfull", "Paper %"}};
   table.add_row({"Full", with_commas(bundle.full.size()), "100.00%",
                  "100.00%"});
-  table.add_row({"Sample (4%)", with_commas(bundle.sample.size()),
-                 percent(bundle.sample.size() / full), "4.30%"});
-  table.add_row({"User", with_commas(bundle.user.size()),
-                 percent(bundle.user.size() / full), "0.85%"});
-  table.add_row({"Denied", with_commas(bundle.denied.size()),
-                 percent(bundle.denied.size() / full), "6.32%"});
+  table.add_row({"Sample (4%)", with_commas(bundle.sample.rows()),
+                 percent(bundle.sample.rows() / full), "4.30%"});
+  table.add_row({"User", with_commas(bundle.user.rows()),
+                 percent(bundle.user.rows() / full), "0.85%"});
+  table.add_row({"Denied", with_commas(bundle.denied.rows()),
+                 percent(bundle.denied.rows() / full), "6.32%"});
   print_block("Datasets (Table 1) — scale ~1:600", table);
 }
 
-void BM_BuildDatasets(benchmark::State& state) {
+// The one Table 1 derivation (the path Study and `syrwatchctl report`
+// share): Dsample, Duser and Ddenied as mask views of Dfull.
+void BM_DeriveDatasets(benchmark::State& state) {
   const auto& bundle = default_study().datasets();
   for (auto _ : state) {
-    analysis::Dataset copy = bundle.full.filter([](const analysis::Row&) {
-      return true;
-    });
-    benchmark::DoNotOptimize(copy.size());
+    const analysis::LogSource full{bundle.full};
+    benchmark::DoNotOptimize(analysis::sample_view(full, 7).rows());
+    benchmark::DoNotOptimize(analysis::user_view(full).rows());
+    benchmark::DoNotOptimize(analysis::denied_view(full).rows());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(bundle.full.size()));
 }
-BENCHMARK(BM_BuildDatasets)->Unit(benchmark::kMillisecond);
-
-void BM_DeriveBundle(benchmark::State& state) {
-  const auto& bundle = default_study().datasets();
-  for (auto _ : state) {
-    auto full = bundle.full.filter([](const analysis::Row&) { return true; });
-    full.finalize();
-    auto derived = analysis::DatasetBundle::derive(std::move(full), 7);
-    benchmark::DoNotOptimize(derived.sample.size());
-  }
-}
-BENCHMARK(BM_DeriveBundle)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DeriveDatasets)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

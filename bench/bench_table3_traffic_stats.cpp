@@ -23,7 +23,7 @@ constexpr PaperShare kPaperShares[] = {
     {proxy::ExceptionId::kPolicyRedirect, "0.00%"},
 };
 
-void print_one(const char* name, const analysis::Dataset& dataset) {
+void print_one(const char* name, const analysis::LogSource& dataset) {
   const auto stats = analysis::traffic_stats(dataset);
   TextTable table{{"Class", "# Requests", "Measured %", "Paper % (Dfull)"}};
   table.add_row({"OBSERVED (allowed)", with_commas(stats.observed),

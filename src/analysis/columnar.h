@@ -5,7 +5,6 @@
 #include <string_view>
 #include <vector>
 
-#include "analysis/dataset.h"
 #include "colfmt/container.h"
 
 namespace syrwatch::analysis {
@@ -13,7 +12,7 @@ namespace syrwatch::analysis {
 /// A colfmt::Reader plus the per-dictionary-id derived values the
 /// analyzers need: registrable domain of every string and its IPv4 parse.
 /// Both are resolved once per *dictionary entry* instead of once per row —
-/// the columnar counterpart of Dataset's domain cache, but immutable after
+/// the columnar counterpart of Dataset's per-host tables, immutable after
 /// construction and therefore freely shared across scan threads. This is
 /// the columnar backend of analysis::LogSource (scan.h); the analyzers
 /// themselves are written once against the LogSource cursor.
@@ -39,17 +38,6 @@ class ColumnarLog {
   }
   std::uint32_t host_ip(std::uint32_t host_id) const noexcept {
     return ip_by_id_[host_id];
-  }
-
-  /// §3.3 class from the packed outcome columns — Dataset::cls.
-  static proxy::TrafficClass cls(std::uint8_t filter_result,
-                                 std::uint8_t exception) noexcept {
-    if (static_cast<proxy::FilterResult>(filter_result) ==
-        proxy::FilterResult::kProxied)
-      return proxy::TrafficClass::kProxied;
-    return proxy::classify_by_exception(
-        static_cast<proxy::FilterResult>(filter_result),
-        static_cast<proxy::ExceptionId>(exception));
   }
 
  private:

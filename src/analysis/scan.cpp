@@ -2,17 +2,19 @@
 
 #include <algorithm>
 #include <fstream>
+#include <numeric>
 #include <optional>
 #include <utility>
+
+#include "util/rng.h"
+#include "util/simtime.h"
 
 namespace syrwatch::analysis {
 
 LogSource::TimeBounds LogSource::time_bounds(std::size_t threads) const {
   if (mask_) return {first_time_, last_time_};
-  if (stream_ != nullptr)
-    return {stream_->first_time(), stream_->last_time()};
   if (columnar_ == nullptr)
-    return {dataset_->rows().front().time, dataset_->rows().back().time};
+    return {dataset_->first_time(), dataset_->last_time()};
   struct Bounds {
     std::int64_t first = 0, last = 0;
     bool any = false;
@@ -75,7 +77,6 @@ LogSource LogSource::masked(
     out.mask_ = std::move(mask);
   }
 
-  prepare(threads);
   std::vector<ViewStats> partials(out.partitions());
   util::parallel_for(out.partitions(), threads, [&](std::size_t p) {
     out.scan_partition(p, [&](const Record& r) {
@@ -113,7 +114,6 @@ LogSource LogSource::filtered(const std::function<bool(const Record&)>& keep,
                               std::size_t threads) const {
   auto mask = std::make_shared<std::vector<std::uint8_t>>(
       static_cast<std::size_t>(base_rows()), std::uint8_t{0});
-  prepare(threads);
   // Each worker sets bits only at its own partition's ordinals, so the
   // writes never alias and the resulting mask is thread-count invariant.
   util::parallel_for(partitions(), threads, [&](std::size_t p) {
@@ -124,6 +124,55 @@ LogSource LogSource::filtered(const std::function<bool(const Record&)>& keep,
   });
   return masked(std::move(mask), threads);
 }
+
+LogSource sample_view(const LogSource& full, std::uint64_t seed,
+                      std::size_t threads) {
+  // A Dataset is time-sorted while a container keeps emission order, so
+  // the draw walks a stable time-sorted permutation of base ordinals.
+  const auto n = static_cast<std::size_t>(full.base_rows());
+  std::vector<std::int64_t> times(n);
+  util::parallel_for(full.partitions(), threads, [&](std::size_t p) {
+    full.scan_partition(p, [&](const Record& r) {
+      times[static_cast<std::size_t>(r.ordinal)] = r.time;
+    });
+  });
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return times[a] < times[b];
+                   });
+  auto mask = std::make_shared<std::vector<std::uint8_t>>(n, std::uint8_t{0});
+  util::Rng rng{util::mix64(seed ^ kSampleSalt)};
+  for (const std::size_t ordinal : order)
+    (*mask)[ordinal] = rng.bernoulli(kSampleRate) ? 1 : 0;
+  return full.masked(std::move(mask), threads);
+}
+
+LogSource user_view(const LogSource& full, std::size_t threads) {
+  return full.filtered(
+      [](const Record& r) {
+        if (r.proxy_index != 0 || r.user_hash == 0) return false;
+        const auto c = util::to_civil(r.time);
+        return c.month == 7 && (c.day == 22 || c.day == 23);
+      },
+      threads);
+}
+
+LogSource denied_view(const LogSource& full, std::size_t threads) {
+  return full.filtered(
+      [](const Record& r) {
+        return r.exception != proxy::ExceptionId::kNone;
+      },
+      threads);
+}
+
+DatasetBundle::DatasetBundle(Dataset full_log, std::uint64_t sample_seed,
+                             std::size_t threads)
+    : full(std::move(full_log)),
+      sample(sample_view(full, sample_seed, threads)),
+      user(user_view(full, threads)),
+      denied(denied_view(full, threads)) {}
 
 std::string_view to_string(SourceOpenErrorCode code) noexcept {
   switch (code) {

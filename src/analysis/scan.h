@@ -11,23 +11,22 @@
 
 #include "analysis/columnar.h"
 #include "analysis/dataset.h"
-#include "analysis/stream_buffer.h"
 #include "proxy/log_io.h"
 #include "util/parallel.h"
 
 namespace syrwatch::analysis {
 
 /// The unified scan layer (DESIGN.md §4.11). Every analyzer is written
-/// once against LogSource — a record cursor with three backends, the row
-/// Dataset, the mmap'd SYRCOL1 container (ColumnarLog), and the streaming
-/// StreamBuffer (§4.12) — and runs as a partitioned parallel scan: each
-/// worker fills a private Partial from one partition's records in row
-/// order, and the analyzer's fold merges the partials in partition order.
-/// Because folds are required to be partition-layout independent
-/// (columnar partitions are container blocks, dataset and stream
-/// partitions are fixed row ranges) and to reproduce the sequential row
-/// scan's observable state, every analyzer's output is byte-identical
-/// across backends and thread counts.
+/// once against LogSource — a record cursor with two backends, the row
+/// Dataset (finalized, or the arrival-order store a spool tail fills,
+/// §4.12) and the mmap'd SYRCOL1 container (ColumnarLog) — and runs as a
+/// partitioned parallel scan: each worker fills a private Partial from one
+/// partition's records in row order, and the analyzer's fold merges the
+/// partials in partition order. Because folds are required to be
+/// partition-layout independent (columnar partitions are container
+/// blocks, dataset partitions are fixed row ranges) and to reproduce the
+/// sequential row scan's observable state, every analyzer's output is
+/// byte-identical across backends and thread counts.
 
 /// One log record as the scan layer presents it: scalar columns plus
 /// zero-copy views into the backend's string storage (the Dataset's pool
@@ -86,29 +85,23 @@ class LogSource {
       : dataset_(&dataset), rows_(dataset.size()) {}
   LogSource(const ColumnarLog& log)  // NOLINT(google-explicit-constructor)
       : columnar_(&log), rows_(log.rows()) {}
-  LogSource(const StreamBuffer& buf)  // NOLINT(google-explicit-constructor)
-      : stream_(&buf), rows_(buf.size()) {}
 
   /// Records this source yields (after any mask).
   std::uint64_t rows() const noexcept { return rows_; }
 
   /// Records of the *underlying backend*, before any mask — the ordinal
   /// space Record::ordinal and masks index, and scan_increment's
-  /// high-water domain. For the streaming backend this is live (the
-  /// buffer may have grown since this view was constructed).
+  /// high-water domain. For a Dataset this is live (a spool tail may have
+  /// appended to it since this view was constructed).
   std::uint64_t base_rows() const noexcept {
-    if (columnar_ != nullptr) return columnar_->rows();
-    if (stream_ != nullptr) return stream_->size();
-    return dataset_->size();
+    return columnar_ != nullptr ? columnar_->rows() : dataset_->size();
   }
 
   /// Scan partitions. Contiguous, in row order; a masked source keeps its
   /// base's partition layout and simply yields fewer records.
   std::size_t partitions() const noexcept {
     if (columnar_ != nullptr) return columnar_->block_count();
-    const std::size_t n =
-        stream_ != nullptr ? stream_->size() : dataset_->size();
-    return (n + kRowsPerPartition - 1) / kRowsPerPartition;
+    return (dataset_->size() + kRowsPerPartition - 1) / kRowsPerPartition;
   }
 
   /// One past the last base ordinal partition `p` covers — the bound
@@ -123,7 +116,8 @@ class LogSource {
   }
 
   /// True min/max record timestamps. Precondition: rows() > 0. The
-  /// Dataset backend answers from its sorted rows; containers preserve
+  /// Dataset backend answers from the bounds add() tracked (a
+  /// never-finalized Dataset is in arrival order); containers preserve
   /// emission order — which is only approximately time-sorted — so the
   /// columnar backend computes the bounds with one parallel scan
   /// (identical result for any `threads`); masked views resolved theirs
@@ -134,9 +128,8 @@ class LogSource {
   };
   TimeBounds time_bounds(std::size_t threads = 1) const;
 
-  /// Derived source yielding only the records `keep` accepts — the scan
-  /// layer's replacement for materializing Dataset::filter copies. The
-  /// mask is resolved eagerly (deterministically, for any `threads`), so
+  /// Derived source yielding only the records `keep` accepts, without
+  /// copying a row. The mask is resolved eagerly (deterministically, for any `threads`), so
   /// scanning the view afterwards is pure reads.
   LogSource filtered(const std::function<bool(const Record&)>& keep,
                      std::size_t threads = 1) const;
@@ -148,18 +141,13 @@ class LogSource {
   LogSource masked(std::shared_ptr<const std::vector<std::uint8_t>> mask,
                    std::size_t threads = 1) const;
 
-  /// Makes a subsequent multi-threaded scan safe: warms the Dataset
-  /// backend's lazy caches (no-op when already warm, or columnar /
-  /// stream — their per-id tables are resolved eagerly).
-  void prepare(std::size_t threads) const {
-    if (threads > 1 && dataset_ != nullptr && !dataset_->warmed())
-      dataset_->warm_domain_cache();
-  }
+  /// Does nothing: both backends resolve their per-host values eagerly,
+  /// so every scan is already safe at any thread count. Kept only for
+  /// existing callers; new code need not call it.
+  void prepare(std::size_t) const {}
 
   /// Invokes `fn(const Record&)` for every record of partition `p`, in row
-  /// order. Thread-safe after prepare() (or single-threaded anyway: the
-  /// Dataset backend's lazy caches then fill exactly as the old row
-  /// analyzers did).
+  /// order. Reads only, so partitions may be scanned concurrently.
   template <typename Fn>
   void scan_partition(std::size_t p, Fn&& fn) const {
     if (columnar_ != nullptr) {
@@ -170,17 +158,6 @@ class LogSource {
         if (mask_ && (*mask_)[static_cast<std::size_t>(ordinal)] == 0)
           continue;
         fn(from_block(block, r, ordinal));
-      }
-      return;
-    }
-    if (stream_ != nullptr) {
-      const auto& rows = stream_->rows();
-      const std::size_t begin = p * kRowsPerPartition;
-      const std::size_t end =
-          std::min(rows.size(), begin + kRowsPerPartition);
-      for (std::size_t i = begin; i < end; ++i) {
-        if (mask_ && (*mask_)[i] == 0) continue;
-        fn(from_stream_row(rows[i], i));
       }
       return;
     }
@@ -218,7 +195,7 @@ class LogSource {
     r.scheme = row.scheme;
     r.result = row.result;
     r.exception = row.exception;
-    r.cls = d.cls(row);
+    r.cls = proxy::classify(row.result, row.exception);
     r.has_dest_ip = row.has_dest_ip;
     return r;
   }
@@ -249,43 +226,13 @@ class LogSource {
     r.scheme = static_cast<net::Scheme>(b.scheme[i]);
     r.result = static_cast<proxy::FilterResult>(b.filter_result[i]);
     r.exception = static_cast<proxy::ExceptionId>(b.exception[i]);
-    r.cls = ColumnarLog::cls(b.filter_result[i], b.exception[i]);
+    r.cls = proxy::classify(r.result, r.exception);
     r.has_dest_ip = b.has_dest[i] != 0;
-    return r;
-  }
-
-  Record from_stream_row(const Row& row, std::uint64_t ordinal) const {
-    const StreamBuffer& s = *stream_;
-    Record r;
-    r.ordinal = ordinal;
-    r.time = row.time;
-    r.user_hash = row.user_hash;
-    r.method = s.view(row.method);
-    r.host = s.view(row.host);
-    r.path = s.view(row.path);
-    r.query = s.view(row.query);
-    r.agent = s.view(row.agent);
-    r.categories = s.view(row.categories);
-    r.domain = s.domain(row);
-    r.host_id = row.host;
-    r.agent_id = row.agent;
-    r.dest_ip = row.dest_ip;
-    r.host_is_ip = s.host_is_ip(row);
-    r.host_ip = r.host_is_ip ? s.host_ip(row) : 0;
-    r.port = row.port;
-    r.status = row.status;
-    r.proxy_index = row.proxy_index;
-    r.scheme = row.scheme;
-    r.result = row.result;
-    r.exception = row.exception;
-    r.cls = s.cls(row);
-    r.has_dest_ip = row.has_dest_ip;
     return r;
   }
 
   const Dataset* dataset_ = nullptr;
   const ColumnarLog* columnar_ = nullptr;
-  const StreamBuffer* stream_ = nullptr;
   /// Base-ordinal keep mask of a derived view; null = all records.
   std::shared_ptr<const std::vector<std::uint8_t>> mask_;
   std::uint64_t rows_ = 0;
@@ -303,7 +250,6 @@ class LogSource {
 template <typename Partial, typename Scan>
 std::vector<Partial> scan_partials(const LogSource& source,
                                    std::size_t threads, const Scan& scan) {
-  source.prepare(threads);
   std::vector<Partial> partials(source.partitions());
   util::parallel_for(source.partitions(), threads, [&](std::size_t p) {
     source.scan_partition(p,
@@ -326,7 +272,7 @@ auto parallel_scan(const LogSource& source, std::size_t threads,
 /// The incremental-emission API beside scan_partials (DESIGN.md §4.12):
 /// invokes `fn(const Record&)` for every record whose *base ordinal* is
 /// in [from, base_rows()), in row order, and returns the new high-water
-/// mark. Feeding a growing source (the streaming backend between polls,
+/// mark. Feeding a growing source (a spool tail's Dataset between polls,
 /// or any backend being replayed into a streaming analyzer) is then
 ///
 ///   hw = scan_increment(source, hw, [&](const Record& r) { ... });
@@ -349,6 +295,38 @@ std::uint64_t scan_increment(const LogSource& source, std::uint64_t from,
   }
   return end;
 }
+
+/// Dsample's fixed parameters (Table 1): a 4% Bernoulli sample of Dfull,
+/// drawn from an RNG seeded with the study seed mixed with this salt.
+inline constexpr double kSampleRate = 0.04;
+inline constexpr std::uint64_t kSampleSalt = 0x5A3D1E;
+
+/// The paper's derived datasets (Table 1, §3), carved out of Dfull as mask
+/// views without copying a row. `full` must be a whole backend, not
+/// itself a view. Each result is identical for any `threads`.
+///  - Dsample: one kSampleRate Bernoulli draw per record, taken in stable
+///    time order, so a time-sorted Dataset and an emission-order container
+///    of the same log select the same records.
+///  - Duser: SG-42's records on July 22-23 that kept a client hash.
+///  - Ddenied: the records with an x-exception-id.
+LogSource sample_view(const LogSource& full, std::uint64_t seed,
+                      std::size_t threads = 1);
+LogSource user_view(const LogSource& full, std::size_t threads = 1);
+LogSource denied_view(const LogSource& full, std::size_t threads = 1);
+
+/// The paper's four datasets: Dfull and the three views of it above. The
+/// views point into `full`, so a bundle can be neither copied nor moved.
+struct DatasetBundle {
+  DatasetBundle(Dataset full, std::uint64_t sample_seed,
+                std::size_t threads = 1);
+  DatasetBundle(const DatasetBundle&) = delete;
+  DatasetBundle& operator=(const DatasetBundle&) = delete;
+
+  const Dataset full;       // Dfull: everything the leak contains
+  const LogSource sample;   // Dsample
+  const LogSource user;     // Duser
+  const LogSource denied;   // Ddenied
+};
 
 /// Why open_source refused an input.
 enum class SourceOpenErrorCode : std::uint8_t {

@@ -6,14 +6,6 @@
 
 namespace syrwatch::analysis {
 
-namespace {
-
-void strip_cr(std::string& line) {
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-}
-
-}  // namespace
-
 void SpoolTail::resume_at(std::uint64_t offset) {
   if (polled_)
     throw std::logic_error("SpoolTail::resume_at after the first poll");
@@ -21,39 +13,6 @@ void SpoolTail::resume_at(std::uint64_t offset) {
   // The header is the first line of the file; a resumed tail positioned
   // past byte 0 will only ever see record lines.
   expect_header_ = offset == 0;
-}
-
-void SpoolTail::consume_line(
-    std::string&& line,
-    const std::function<void(const proxy::LogRecord&)>& sink,
-    std::size_t& delivered) {
-  ++stats_.lines;
-  strip_cr(line);
-  if (expect_header_) {
-    expect_header_ = false;
-    if (line == proxy::log_csv_header()) {
-      stats_.header_present = true;
-      return;
-    }
-    // Headerless spool: fall through and try the line as data, exactly
-    // like read_log_lenient.
-  }
-  if (line.empty()) {
-    ++stats_.empty_lines;
-    return;
-  }
-  ++stats_.data_lines;
-  proxy::ParseDiagnosis diagnosis;
-  if (auto record = proxy::from_csv(line, &diagnosis)) {
-    ++stats_.recovered;
-    sink(*record);
-    ++delivered;
-    return;
-  }
-  const auto reason = static_cast<std::size_t>(diagnosis.error);
-  ++stats_.skipped[reason];
-  if (stats_.first_error_line[reason] == 0)
-    stats_.first_error_line[reason] = stats_.lines;
 }
 
 std::size_t SpoolTail::poll(
@@ -96,7 +55,11 @@ std::size_t SpoolTail::poll(
     for (std::size_t i = 0; i < size; ++i) {
       if (chunk[i] != '\n') continue;
       pending_.append(chunk + start, i - start);
-      consume_line(std::move(pending_), sink, delivered);
+      if (const auto record =
+              proxy::read_lenient_line(pending_, expect_header_, stats_)) {
+        sink(*record);
+        ++delivered;
+      }
       pending_.clear();
       start = i + 1;
     }

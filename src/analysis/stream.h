@@ -4,8 +4,8 @@
 #include <functional>
 #include <string>
 
+#include "analysis/dataset.h"
 #include "analysis/scan.h"
-#include "analysis/stream_buffer.h"
 #include "proxy/log_io.h"
 #include "util/vfs.h"
 
@@ -28,9 +28,9 @@ namespace syrwatch::analysis {
 ///    partial line). Construct-and-resume_at(offset()) on a fresh tail
 ///    replays nothing and misses nothing — byte-identical to having
 ///    cold-tailed the whole file (the resume contract tests assert).
-///  - Malformed lines are skipped and tallied exactly like
-///    proxy::read_log_lenient tallies them (stats()), so a damaged spool
-///    degrades identically online and offline.
+///  - Every complete line goes through proxy::read_lenient_line, the
+///    step proxy::read_log_lenient reads with, so malformed lines are
+///    skipped and tallied (stats()) identically online and offline.
 ///  - A spool rotated (replaced: inode change) or truncated underneath
 ///    the tail does not wedge the watch loop: the tail reopens by path,
 ///    restarts from byte 0 of the new file, and counts a gap (gaps()) —
@@ -67,10 +67,6 @@ class SpoolTail {
   std::uint64_t gaps() const noexcept { return gaps_; }
 
  private:
-  void consume_line(std::string&& line,
-                    const std::function<void(const proxy::LogRecord&)>& sink,
-                    std::size_t& delivered);
-
   util::Vfs* vfs_;
   std::string path_;
   std::uint64_t consumed_ = 0;  // bytes read from the file so far
@@ -82,30 +78,29 @@ class SpoolTail {
   bool expect_header_ = true;  // next complete line may be the header
 };
 
-/// SpoolTail + StreamBuffer glued together: the streaming LogSource
-/// backend. Each poll() drains newly committed spool records into the
-/// buffer; source() is a fresh LogSource view over everything ingested so
-/// far, and scan_increment(source(), hw, fn) feeds analyzers only the
-/// records new since their last high-water mark.
+/// SpoolTail + an arrival-order Dataset: the streaming input. Each poll()
+/// appends newly committed spool records to the never-finalized store;
+/// source() is a fresh LogSource view over everything ingested so far,
+/// and scan_increment(source(), hw, fn) feeds analyzers only the records
+/// new since their last high-water mark.
 class StreamSource {
  public:
   explicit StreamSource(std::string spool_path, util::Vfs* vfs = nullptr)
       : tail_(std::move(spool_path), vfs) {}
 
-  /// Drains the tail. Returns records appended to the buffer.
+  /// Drains the tail. Returns records appended to the store.
   std::size_t poll() {
     return tail_.poll(
-        [this](const proxy::LogRecord& record) { buffer_.add(record); });
+        [this](const proxy::LogRecord& record) { records_.add(record); });
   }
 
-  LogSource source() const { return LogSource{buffer_}; }
-  const StreamBuffer& buffer() const noexcept { return buffer_; }
+  LogSource source() const { return LogSource{records_}; }
   SpoolTail& tail() noexcept { return tail_; }
   const SpoolTail& tail() const noexcept { return tail_; }
 
  private:
   SpoolTail tail_;
-  StreamBuffer buffer_;
+  Dataset records_;
 };
 
 }  // namespace syrwatch::analysis

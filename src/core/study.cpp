@@ -75,9 +75,8 @@ StudyResult Study::build_datasets() {
   {
     const obs::Span span{obs_, "study.build_datasets"};
     datasets_ = std::make_unique<analysis::DatasetBundle>(
-        analysis::DatasetBundle::derive(
-            std::move(*pending_), config_.seed, 0.04,
-            util::resolve_threads(config_.threads)));
+        std::move(*pending_), config_.seed,
+        util::resolve_threads(config_.threads));
   }
   pending_.reset();
   const double seconds =

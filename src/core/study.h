@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/dataset.h"
+#include "analysis/scan.h"
 #include "obs/context.h"
 #include "obs/export.h"
 #include "util/cancel.h"

@@ -297,47 +297,61 @@ std::string LogReadStats::summary() const {
   return out;
 }
 
+std::optional<LogRecord> read_lenient_line(std::string& line,
+                                           bool& expect_header,
+                                           LogReadStats& stats,
+                                           ParseError* error) {
+  if (error != nullptr) *error = ParseError::kNone;
+  ++stats.lines;
+  strip_cr(line);
+  if (expect_header) {
+    expect_header = false;
+    if (line == log_csv_header()) {
+      stats.header_present = true;
+      return std::nullopt;
+    }
+    // Headerless (or header-damaged) log: fall through and try the line
+    // as data — a truncated header will be tallied as a skipped line.
+  }
+  if (line.empty()) {
+    ++stats.empty_lines;
+    return std::nullopt;
+  }
+  ++stats.data_lines;
+  ParseDiagnosis diagnosis;
+  auto record = from_csv(line, &diagnosis);
+  if (record) {
+    ++stats.recovered;
+    return record;
+  }
+  const auto reason = static_cast<std::size_t>(diagnosis.error);
+  ++stats.skipped[reason];
+  if (stats.first_error_line[reason] == 0)
+    stats.first_error_line[reason] = stats.lines;
+  if (error != nullptr) *error = diagnosis.error;
+  return std::nullopt;
+}
+
 LenientLog read_log_lenient(std::istream& in) {
   LenientLog result;
   LogReadStats& stats = result.stats;
-  const std::string header = log_csv_header();
 
   std::string line;
-  bool first = true;
+  bool expect_header = true;
   bool final_line_unterminated = false;
   ParseError last_data_error = ParseError::kNone;
   std::uint64_t last_data_error_line = 0;
   while (std::getline(in, line)) {
-    ++stats.lines;
-    strip_cr(line);
+    ParseError error = ParseError::kNone;
+    auto record = read_lenient_line(line, expect_header, stats, &error);
     // getline hitting EOF before the delimiter means this (final) line was
     // never newline-terminated — the signature of a torn write.
     final_line_unterminated = in.eof() && !line.empty();
-    if (first) {
-      first = false;
-      if (line == header) {
-        stats.header_present = true;
-        continue;
-      }
-      // Headerless (or header-damaged) log: fall through and try the line
-      // as data — a truncated header will be tallied as a skipped line.
-    }
-    if (line.empty()) {
-      ++stats.empty_lines;
-      continue;
-    }
-    ++stats.data_lines;
-    ParseDiagnosis diagnosis;
-    if (auto record = from_csv(line, &diagnosis)) {
-      ++stats.recovered;
+    if (record) {
       result.records.push_back(std::move(*record));
       last_data_error = ParseError::kNone;
-    } else {
-      const auto reason = static_cast<std::size_t>(diagnosis.error);
-      ++stats.skipped[reason];
-      if (stats.first_error_line[reason] == 0)
-        stats.first_error_line[reason] = stats.lines;
-      last_data_error = diagnosis.error;
+    } else if (error != ParseError::kNone) {
+      last_data_error = error;
       last_data_error_line = stats.lines;
     }
   }

@@ -102,6 +102,18 @@ struct LenientLog {
   LogReadStats stats;
 };
 
+/// One line of the lenient reader: strips a trailing '\r', counts the line
+/// in `stats`, accepts the header when `expect_header` is set (clearing
+/// it; a non-header first line is re-tried as data), tallies empty and
+/// malformed lines, and returns the record a data line parsed to.
+/// `error` (when given) receives the skip reason of a malformed data line
+/// and kNone otherwise. read_log_lenient and analysis::SpoolTail both read
+/// through it, so a damaged log degrades identically offline and online.
+std::optional<LogRecord> read_lenient_line(std::string& line,
+                                           bool& expect_header,
+                                           LogReadStats& stats,
+                                           ParseError* error = nullptr);
+
 /// Damage-tolerant reader for leak-grade logs: never throws on malformed
 /// input. A wrong or missing header is recorded (not fatal) and the first
 /// line is then re-tried as data; every malformed row is skipped and

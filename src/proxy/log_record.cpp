@@ -12,10 +12,13 @@ std::string_view to_string(TrafficClass c) noexcept {
   return "allowed";
 }
 
+TrafficClass classify(FilterResult result, ExceptionId exception) noexcept {
+  if (result == FilterResult::kProxied) return TrafficClass::kProxied;
+  return classify_by_exception(result, exception);
+}
+
 TrafficClass classify(const LogRecord& record) noexcept {
-  if (record.filter_result == FilterResult::kProxied)
-    return TrafficClass::kProxied;
-  return classify_by_exception(record.filter_result, record.exception);
+  return classify(record.filter_result, record.exception);
 }
 
 TrafficClass classify_by_exception(FilterResult result,

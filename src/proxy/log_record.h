@@ -75,7 +75,9 @@ std::string_view to_string(TrafficClass c) noexcept;
 
 /// Classifies per §3.3: PROXIED is its own class regardless of exception;
 /// otherwise policy exceptions are censored, other exceptions errors, and
-/// exception-free requests allowed.
+/// exception-free requests allowed. The one copy of that rule: every
+/// storage backend classifies its packed outcome columns through it.
+TrafficClass classify(FilterResult result, ExceptionId exception) noexcept;
 TrafficClass classify(const LogRecord& record) noexcept;
 
 /// The same classification, treating PROXIED by its underlying exception —

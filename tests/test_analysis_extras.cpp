@@ -176,7 +176,7 @@ TEST(SamplingAudit, CoversTrueProportions) {
                  : rec("http://ok.net/"));
   }
   full.finalize();
-  const auto bundle = DatasetBundle::derive(std::move(full), 9);
+  const DatasetBundle bundle{std::move(full), 9};
   const auto checks = sampling_audit(bundle.full, bundle.sample);
   ASSERT_EQ(checks.size(), 5u);
   for (const auto& check : checks) {
@@ -191,13 +191,13 @@ TEST(SamplingAudit, IntervalWidthScalesWithSampleSize) {
   Dataset full;
   for (int i = 0; i < 40'000; ++i) full.add(rec("http://ok.net/"));
   full.finalize();
-  const auto bundle = DatasetBundle::derive(std::move(full), 9);
+  const DatasetBundle bundle{std::move(full), 9};
   const auto checks = sampling_audit(bundle.full, bundle.sample);
   // With ~1,600 sampled rows, the 95% half-width for p~0 is tiny but the
   // general bound 1.96*sqrt(0.25/n) holds for all metrics.
   for (const auto& check : checks) {
     EXPECT_LE(check.interval.half_width,
-              1.96 * std::sqrt(0.25 / double(bundle.sample.size())) + 1e-9);
+              1.96 * std::sqrt(0.25 / double(bundle.sample.rows())) + 1e-9);
   }
 }
 

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "analysis/columnar.h"
-#include "analysis/testing/compat.h"
 #include "analysis/coverage.h"
 #include "analysis/dataset.h"
 #include "analysis/proxy_compare.h"
@@ -496,18 +495,6 @@ TEST(ColumnarAnalysis, ThreadCountIsInvisible) {
                 .matrix,
             analysis::censored_domain_similarity(log8, {{fx.start, fx.end}}, 8)
                 .matrix);
-}
-
-TEST(ColumnarAnalysis, ToDatasetCompatMatchesDirectDataset) {
-  TempDir dir{"todataset"};
-  AnalysisFixture fx{dir, 1000};
-  const auto dataset =
-      analysis::to_dataset_compat(colfmt::Reader::open(dir.file("log.col")));
-  ASSERT_EQ(dataset.size(), fx.dataset.size());
-  const analysis::TopDomainsOptions options{proxy::TrafficClass::kCensored,
-                                            50, std::nullopt};
-  expect_same_top(analysis::top_domains(fx.dataset, options),
-                  analysis::top_domains(dataset, options));
 }
 
 TEST(ColumnarAnalysis, CoverageToleratesEmissionOrderContainer) {

@@ -33,9 +33,9 @@ TEST(Study, RunBuildsAllDatasets) {
   EXPECT_TRUE(study.has_run());
   const auto& bundle = study.datasets();
   EXPECT_GT(bundle.full.size(), 20'000u);
-  EXPECT_GT(bundle.sample.size(), 0u);
-  EXPECT_GT(bundle.user.size(), 0u);
-  EXPECT_GT(bundle.denied.size(), 0u);
+  EXPECT_GT(bundle.sample.rows(), 0u);
+  EXPECT_GT(bundle.user.rows(), 0u);
+  EXPECT_GT(bundle.denied.rows(), 0u);
   // Time-sorted after finalize.
   const auto& rows = bundle.full.rows();
   for (std::size_t i = 1; i < rows.size(); ++i)

@@ -1,9 +1,16 @@
-// Dataset store: interning, classification, filtering, bundle derivation.
+// Dataset store: interning, per-host resolution, classification, and the
+// Table 1 derivation (DatasetBundle).
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "analysis/dataset.h"
+#include "analysis/scan.h"
 #include "util/simtime.h"
+#include "workload/scenario.h"
 
 namespace {
 
@@ -60,12 +67,25 @@ TEST(Dataset, FinalizeSortsByTime) {
 
 TEST(Dataset, DomainCached) {
   Dataset dataset;
-  dataset.add(make_record("http://ar-ar.facebook.com/x", at(8, 1),
+  dataset.add(make_record("http://ar-ar.facebook.com/x?10.0.0.1", at(8, 1),
                           proxy::FilterResult::kObserved,
                           proxy::ExceptionId::kNone));
-  const Row& row = dataset.rows().front();
-  EXPECT_EQ(dataset.domain(row), "facebook.com");
-  EXPECT_EQ(dataset.domain(row), "facebook.com");  // cached path
+  // Both strings below are already interned, but not as hosts: the
+  // registrable domain above, and a query. Their first use as a host
+  // resolves them.
+  dataset.add(make_record("http://facebook.com/", at(8, 1),
+                          proxy::FilterResult::kObserved,
+                          proxy::ExceptionId::kNone));
+  dataset.add(make_record("http://10.0.0.1/", at(8, 1),
+                          proxy::FilterResult::kObserved,
+                          proxy::ExceptionId::kNone));
+  const auto& rows = dataset.rows();
+  EXPECT_EQ(dataset.domain(rows[0]), "facebook.com");
+  EXPECT_FALSE(dataset.host_is_ip(rows[0]));
+  EXPECT_EQ(dataset.domain(rows[1]), "facebook.com");
+  EXPECT_EQ(dataset.host_ip(rows[1]), 0u);
+  ASSERT_TRUE(dataset.host_is_ip(rows[2]));
+  EXPECT_EQ(dataset.host_ip(rows[2]), net::Ipv4Addr(10, 0, 0, 1).value());
 }
 
 TEST(Dataset, FilterTextIncludesQuery) {
@@ -91,26 +111,14 @@ TEST(Dataset, ClassMatchesSection33) {
   dataset.add(make_record("http://d.com/", at(8, 1),
                           proxy::FilterResult::kProxied,
                           proxy::ExceptionId::kNone));
-  EXPECT_EQ(dataset.cls(dataset.rows()[0]), proxy::TrafficClass::kAllowed);
-  EXPECT_EQ(dataset.cls(dataset.rows()[1]), proxy::TrafficClass::kCensored);
-  EXPECT_EQ(dataset.cls(dataset.rows()[2]), proxy::TrafficClass::kError);
-  EXPECT_EQ(dataset.cls(dataset.rows()[3]), proxy::TrafficClass::kProxied);
-}
-
-TEST(Dataset, FilterSharesPool) {
-  Dataset dataset;
-  dataset.add(make_record("http://a.com/", at(8, 1),
-                          proxy::FilterResult::kObserved,
-                          proxy::ExceptionId::kNone));
-  dataset.add(make_record("http://b.com/", at(8, 1),
-                          proxy::FilterResult::kDenied,
-                          proxy::ExceptionId::kPolicyDenied));
-  const Dataset censored = dataset.filter([&](const Row& row) {
-    return dataset.cls(row) == proxy::TrafficClass::kCensored;
-  });
-  ASSERT_EQ(censored.size(), 1u);
-  EXPECT_EQ(censored.pool().get(), dataset.pool().get());
-  EXPECT_EQ(censored.host(censored.rows().front()), "b.com");
+  const auto cls = [&](std::size_t i) {
+    const Row& row = dataset.rows()[i];
+    return proxy::classify(row.result, row.exception);
+  };
+  EXPECT_EQ(cls(0), proxy::TrafficClass::kAllowed);
+  EXPECT_EQ(cls(1), proxy::TrafficClass::kCensored);
+  EXPECT_EQ(cls(2), proxy::TrafficClass::kError);
+  EXPECT_EQ(cls(3), proxy::TrafficClass::kProxied);
 }
 
 TEST(DatasetBundle, DeriveSplitsCorrectly) {
@@ -133,12 +141,16 @@ TEST(DatasetBundle, DeriveSplitsCorrectly) {
                        proxy::ExceptionId::kTcpError, 3, 0));
   full.finalize();
 
-  const auto bundle = DatasetBundle::derive(std::move(full), 1);
+  const DatasetBundle bundle{std::move(full), 1};
   EXPECT_EQ(bundle.full.size(), 4u);
-  EXPECT_EQ(bundle.user.size(), 1u);
-  EXPECT_EQ(bundle.user.host(bundle.user.rows().front()), "a.com");
-  EXPECT_EQ(bundle.denied.size(), 2u);
-  EXPECT_LE(bundle.sample.size(), bundle.full.size());
+  ASSERT_EQ(bundle.user.rows(), 1u);
+  std::vector<std::string> user_hosts;
+  scan_increment(bundle.user, 0, [&](const Record& r) {
+    user_hosts.emplace_back(r.host);
+  });
+  EXPECT_EQ(user_hosts, std::vector<std::string>{"a.com"});
+  EXPECT_EQ(bundle.denied.rows(), 2u);
+  EXPECT_LE(bundle.sample.rows(), bundle.full.size());
 }
 
 TEST(DatasetBundle, SampleRateApproximatelyHonored) {
@@ -149,12 +161,12 @@ TEST(DatasetBundle, SampleRateApproximatelyHonored) {
                          proxy::ExceptionId::kNone));
   }
   full.finalize();
-  const auto bundle = DatasetBundle::derive(std::move(full), 3);
-  EXPECT_NEAR(bundle.sample.size() / 50'000.0, 0.04, 0.005);
+  const DatasetBundle bundle{std::move(full), 3};
+  EXPECT_NEAR(bundle.sample.rows() / 50'000.0, kSampleRate, 0.005);
 }
 
 TEST(DatasetBundle, SampleIsDeterministic) {
-  auto build = [] {
+  auto sample_size = [] {
     Dataset full;
     for (int i = 0; i < 5000; ++i) {
       full.add(make_record("http://a.com/", at(8, 1) + i,
@@ -162,9 +174,66 @@ TEST(DatasetBundle, SampleIsDeterministic) {
                            proxy::ExceptionId::kNone));
     }
     full.finalize();
-    return DatasetBundle::derive(std::move(full), 77);
+    return DatasetBundle{std::move(full), 77}.sample.rows();
   };
-  EXPECT_EQ(build().sample.size(), build().sample.size());
+  EXPECT_EQ(sample_size(), sample_size());
+}
+
+/// Count, FNV-1a hash and first/last entries of a view's base ordinals.
+std::string ordinal_digest(const LogSource& view) {
+  std::vector<std::uint64_t> ordinals;
+  scan_increment(view, 0,
+                 [&](const Record& r) { ordinals.push_back(r.ordinal); });
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const std::uint64_t ordinal : ordinals) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (ordinal >> (8 * byte)) & 0xff;
+      hash *= 0x100000001b3ull;
+    }
+  }
+  std::string out = std::to_string(ordinals.size()) + " " +
+                    std::to_string(hash) + " first";
+  for (std::size_t i = 0; i < ordinals.size() && i < 6; ++i)
+    out += " " + std::to_string(ordinals[i]);
+  out += " last " + std::to_string(ordinals.empty() ? 0 : ordinals.back());
+  return out;
+}
+
+// Golden regression: the Dsample/Duser/Ddenied ordinal sets of a small
+// fixed-seed scenario, captured from the derivation that copied rows into
+// three separate Datasets (the scenario's log has no two identical rows,
+// so each copied row named exactly one ordinal of Dfull).
+TEST(DatasetBundleGolden, FixedSeedScenario) {
+  workload::ScenarioConfig config;
+  config.seed = 7;
+  config.total_requests = 20'000;
+  config.user_population = 2'000;
+  config.catalog_tail = 2'000;
+  config.torrent_contents = 200;
+  config.threads = 2;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    workload::SyriaScenario scenario{config};
+    Dataset full;
+    scenario.run([&](const proxy::LogRecord& record) { full.add(record); });
+    full.finalize();
+    ASSERT_EQ(full.size(), 14'169u);
+    const DatasetBundle bundle{std::move(full), 7, threads};
+    EXPECT_EQ(ordinal_digest(bundle.sample),
+              std::to_string(585) + " " +
+                  std::to_string(0xb9e93eec2bedee7dull) +
+                  " first 49 51 67 118 122 140 last 14155")
+        << threads << " threads";
+    EXPECT_EQ(ordinal_digest(bundle.user),
+              std::to_string(549) + " " +
+                  std::to_string(0x626cf982c4121f03ull) +
+                  " first 0 1 2 3 4 5 last 548")
+        << threads << " threads";
+    EXPECT_EQ(ordinal_digest(bundle.denied),
+              std::to_string(888) + " " +
+                  std::to_string(0x45affd17eb4244b2ull) +
+                  " first 9 23 25 73 102 103 last 14149")
+        << threads << " threads";
+  }
 }
 
 }  // namespace

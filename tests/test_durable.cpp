@@ -715,9 +715,9 @@ TEST(StudyCheckpoint, InterruptedSimulateResumesToIdenticalBundle) {
   ASSERT_EQ(study.simulate(resume), core::SimulateStatus::kComplete);
   const auto result = study.build_datasets();
   EXPECT_EQ(result.datasets.full.size(), clean_bundle.full.size());
-  EXPECT_EQ(result.datasets.sample.size(), clean_bundle.sample.size());
-  EXPECT_EQ(result.datasets.user.size(), clean_bundle.user.size());
-  EXPECT_EQ(result.datasets.denied.size(), clean_bundle.denied.size());
+  EXPECT_EQ(result.datasets.sample.rows(), clean_bundle.sample.rows());
+  EXPECT_EQ(result.datasets.user.rows(), clean_bundle.user.rows());
+  EXPECT_EQ(result.datasets.denied.rows(), clean_bundle.denied.rows());
 }
 
 TEST(StudyCheckpoint, CancelledSimulateReportsInterrupted) {

@@ -80,10 +80,10 @@ core::Study* StudyTest::boosted_ = nullptr;
 TEST_F(StudyTest, Table1DatasetProportions) {
   const auto& bundle = study_->datasets();
   EXPECT_GT(bundle.full.size(), 300'000u);
-  EXPECT_NEAR(bundle.sample.size() / double(bundle.full.size()), 0.04, 0.005);
-  EXPECT_GT(bundle.user.size(), 1'000u);
-  EXPECT_LT(bundle.user.size(), bundle.full.size() / 5);
-  EXPECT_GT(bundle.denied.size(), bundle.full.size() / 25);
+  EXPECT_NEAR(bundle.sample.rows() / double(bundle.full.size()), 0.04, 0.005);
+  EXPECT_GT(bundle.user.rows(), 1'000u);
+  EXPECT_LT(bundle.user.rows(), bundle.full.size() / 5);
+  EXPECT_GT(bundle.denied.rows(), bundle.full.size() / 25);
 }
 
 TEST_F(StudyTest, Table3TrafficSplit) {

@@ -171,13 +171,13 @@ TEST(ThreadInvariance, DatasetBundleMatchesAcrossThreadCounts) {
     study.run();
     const auto& bundle = study.datasets();
     if (sizes.empty()) {
-      sizes = {bundle.full.size(), bundle.sample.size(), bundle.user.size(),
-               bundle.denied.size()};
+      sizes = {bundle.full.size(), bundle.sample.rows(), bundle.user.rows(),
+               bundle.denied.rows()};
     } else {
       EXPECT_EQ(bundle.full.size(), sizes[0]);
-      EXPECT_EQ(bundle.sample.size(), sizes[1]);
-      EXPECT_EQ(bundle.user.size(), sizes[2]);
-      EXPECT_EQ(bundle.denied.size(), sizes[3]);
+      EXPECT_EQ(bundle.sample.rows(), sizes[1]);
+      EXPECT_EQ(bundle.user.rows(), sizes[2]);
+      EXPECT_EQ(bundle.denied.rows(), sizes[3]);
     }
   }
 }

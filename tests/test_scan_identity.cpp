@@ -1,5 +1,6 @@
 // Scan-layer identity: every analyzer, run against the same log loaded as
-// row CSV (Dataset) and as a SYRCOL1 container (ColumnarLog), at 1 and 8
+// row CSV (Dataset), as a never-finalized arrival-order Dataset (what a
+// spool tail fills) and as a SYRCOL1 container (ColumnarLog), at 1 and 8
 // threads, must produce byte-identical serialized output. This is the
 // contract DESIGN.md §4.11 promises: backend and thread count are invisible.
 
@@ -211,6 +212,7 @@ struct Fixture {
   geo::GeoIpDb geoip;
   category::Categorizer categorizer;
   analysis::Dataset dataset;  // loaded back from the CSV file, like the CLI
+  analysis::Dataset arrival;  // the same records, never finalized
   std::unique_ptr<analysis::ColumnarLog> columnar;
   std::shared_ptr<const std::vector<std::uint8_t>> sample_mask;
   std::int64_t start = 0;
@@ -236,7 +238,10 @@ struct Fixture {
     }
     std::ifstream in{(dir / "log.csv").string()};
     const auto parsed = proxy::read_log(in);
-    for (const auto& record : parsed) dataset.add(record);
+    for (const auto& record : parsed) {
+      dataset.add(record);
+      arrival.add(record);
+    }
     dataset.finalize();
 
     {
@@ -297,8 +302,8 @@ void put(std::ostream& out, const std::vector<analysis::DomainCount>& top) {
     out << entry.domain << ':' << entry.count << ':' << entry.share << ';';
 }
 
-/// Runs `render` over (row, 1), (row, 8), (columnar, 1), (columnar, 8) and
-/// expects one string.
+/// Runs `render` over (row, 1), (row, 8), (columnar, 1), (columnar, 8),
+/// (arrival, 1), (arrival, 8) and expects one string.
 using Render =
     std::function<std::string(const analysis::LogSource&, std::size_t)>;
 
@@ -310,6 +315,9 @@ void expect_identity(const char* name, const Render& render) {
   EXPECT_EQ(baseline, render(row, 8)) << name << ": row @8 threads";
   EXPECT_EQ(baseline, render(col, 1)) << name << ": columnar @1 thread";
   EXPECT_EQ(baseline, render(col, 8)) << name << ": columnar @8 threads";
+  const analysis::LogSource arrival{fx().arrival};
+  EXPECT_EQ(baseline, render(arrival, 1)) << name << ": arrival @1 thread";
+  EXPECT_EQ(baseline, render(arrival, 8)) << name << ": arrival @8 threads";
 }
 
 // --- the analyzers ----------------------------------------------------------
@@ -744,7 +752,11 @@ TEST(ScanIdentity, EmissionOrderContainer) {
     std::swap(jittered[i].time, jittered[i + 1].time);
 
   analysis::Dataset dataset;
-  for (const auto& record : jittered) dataset.add(record);
+  analysis::Dataset arrival;  // jittered order kept: a spool tail's store
+  for (const auto& record : jittered) {
+    dataset.add(record);
+    arrival.add(record);
+  }
   dataset.finalize();
 
   const auto col_path = (fx().dir / "jittered.col").string();
@@ -764,6 +776,11 @@ TEST(ScanIdentity, EmissionOrderContainer) {
     const auto col_bounds = col.time_bounds(threads);
     EXPECT_EQ(row_bounds.first, col_bounds.first) << threads << " threads";
     EXPECT_EQ(row_bounds.last, col_bounds.last) << threads << " threads";
+    const auto arrival_bounds =
+        analysis::LogSource{arrival}.time_bounds(threads);
+    EXPECT_EQ(arrival_bounds.first, col_bounds.first)
+        << threads << " threads";
+    EXPECT_EQ(arrival_bounds.last, col_bounds.last) << threads << " threads";
   }
 
   const Render coverage = [](const analysis::LogSource& src,
@@ -787,6 +804,18 @@ TEST(ScanIdentity, EmissionOrderContainer) {
   EXPECT_EQ(baseline, coverage(row, 8)) << "row @8 threads";
   EXPECT_EQ(baseline, coverage(col, 1)) << "columnar @1 thread";
   EXPECT_EQ(baseline, coverage(col, 8)) << "columnar @8 threads";
+
+  // Dsample draws in stable time order, so the sorted rows and the
+  // emission-order container sample the same records.
+  const auto sample_coverage = [&](const analysis::LogSource& src,
+                                   std::size_t threads) {
+    return coverage(analysis::sample_view(src, 7, threads), threads);
+  };
+  const std::string sampled = sample_coverage(row, 1);
+  EXPECT_NE(sampled, baseline);
+  EXPECT_EQ(sampled, sample_coverage(row, 8)) << "row sample @8 threads";
+  EXPECT_EQ(sampled, sample_coverage(col, 1)) << "columnar sample @1 thread";
+  EXPECT_EQ(sampled, sample_coverage(col, 8)) << "columnar sample @8 threads";
 }
 
 TEST(ScanIdentity, FilteredViewStaysIdentical) {

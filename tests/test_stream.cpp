@@ -1,9 +1,10 @@
 // Streaming analysis (DESIGN.md §4.12): sketch guarantees, the spool
 // tail's torn-tail/resume contract, open_source's typed refusals, and the
 // sketch↔exact replay identities — with a window covering the whole log,
-// the rolling report must match the exact analyzers byte for byte on all
-// three LogSource backends (row, columnar, stream); sliding windows must
-// stay within each sketch's stated bound.
+// the rolling report must match the exact analyzers byte for byte on both
+// LogSource backends (row and columnar) and on the never-finalized
+// arrival-order Dataset a spool tail fills; sliding windows must stay
+// within each sketch's stated bound.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +27,6 @@
 #include "analysis/scan.h"
 #include "analysis/sketch.h"
 #include "analysis/stream.h"
-#include "analysis/stream_buffer.h"
 #include "analysis/stream_report.h"
 #include "analysis/temporal.h"
 #include "analysis/top_domains.h"
@@ -297,7 +297,7 @@ struct Fixture {
   std::vector<proxy::LogRecord> parsed;  // CSV round-tripped
   analysis::Dataset dataset;
   std::unique_ptr<analysis::ColumnarLog> columnar;
-  std::unique_ptr<analysis::StreamBuffer> stream_buffer;
+  analysis::Dataset arrival;  // never finalized, like StreamSource's store
   std::int64_t start = 0;
   std::int64_t last = 0;
 
@@ -327,8 +327,7 @@ struct Fixture {
     }
     columnar = std::make_unique<analysis::ColumnarLog>(
         colfmt::Reader::open(col_path()));
-    stream_buffer = std::make_unique<analysis::StreamBuffer>();
-    for (const auto& record : parsed) stream_buffer->add(record);
+    for (const auto& record : parsed) arrival.add(record);
   }
 
   std::string csv_path() const { return (dir / "log.csv").string(); }
@@ -380,7 +379,7 @@ TEST(StreamIdentity, AllBackendsProduceIdenticalReports) {
     const std::string col =
         replay_report(analysis::LogSource{*fx().columnar}, options);
     const std::string stream =
-        replay_report(analysis::LogSource{*fx().stream_buffer}, options);
+        replay_report(analysis::LogSource{fx().arrival}, options);
     EXPECT_EQ(row, col) << "sliding=" << sliding;
     EXPECT_EQ(row, stream) << "sliding=" << sliding;
   }
@@ -390,7 +389,7 @@ TEST(StreamIdentity, SpoolTailBackendMatchesInMemoryBuffer) {
   analysis::StreamSource source{fx().csv_path()};
   ASSERT_EQ(source.poll(), fx().parsed.size());
   EXPECT_EQ(replay_report(source.source(), whole_log_options(&fx().relays)),
-            replay_report(analysis::LogSource{*fx().stream_buffer},
+            replay_report(analysis::LogSource{fx().arrival},
                           whole_log_options(&fx().relays)));
 }
 

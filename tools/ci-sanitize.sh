@@ -29,6 +29,12 @@
 #
 #   tools/ci-sanitize.sh 'discovery|scan_identity'
 #
+# The row store resolves its per-host values at add() and has no lazy
+# cache left for concurrent scans to fill; the record-store, stream,
+# parallel and study tests are its race and memory check:
+#
+#   tools/ci-sanitize.sh 'scan_identity|stream|dataset|parallel|core'
+#
 # Build trees live in build-tsan/ and build-asan/ next to the source tree,
 # so a regular build/ directory is left untouched.
 
