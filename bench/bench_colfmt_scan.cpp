@@ -12,6 +12,7 @@
 
 #include "analysis/columnar.h"
 #include "analysis/dataset.h"
+#include "analysis/scan.h"
 #include "analysis/temporal.h"
 #include "analysis/top_domains.h"
 #include "bench_common.h"
@@ -73,10 +74,12 @@ const ScanFixture& fixture() {
 }
 
 analysis::Dataset load_csv(const ScanFixture& fx) {
-  std::ifstream in{fx.csv_path};
-  const auto log = proxy::read_log_lenient(in);
+  std::ifstream in{fx.csv_path, std::ios::binary};
+  proxy::LineReader lines{in};
   analysis::Dataset dataset;
-  for (const auto& record : log.records) dataset.add(record);
+  proxy::read_log_lenient(lines, [&dataset](const proxy::RecordView& record) {
+    dataset.add(record);
+  });
   dataset.finalize();
   return dataset;
 }
@@ -132,6 +135,21 @@ void print_reproduction() {
               with_commas(report.pages_checked).c_str());
 }
 
+// CSV load alone: decode the log into a finalized Dataset through
+// open_source — the load phase every `syrwatchctl` command on a .csv pays.
+void BM_CsvLoad(benchmark::State& state) {
+  const auto& fx = fixture();
+  for (auto _ : state) {
+    const auto opened = analysis::open_source(fx.csv_path, {.format = "csv"});
+    benchmark::DoNotOptimize(opened.rows());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(fx.rows));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(fx.csv_bytes));
+}
+BENCHMARK(BM_CsvLoad)->Unit(benchmark::kMillisecond);
+
 // CSV row path: parse the log, build the Dataset, run top_domains + RCV.
 // This is what `syrwatchctl top log.csv` pays per invocation.
 void BM_CsvLoadTopRcv(benchmark::State& state) {
@@ -186,14 +204,12 @@ void BM_CsvToCol(benchmark::State& state) {
   const std::string out =
       (fs::temp_directory_path() / "syrbench_colfmt_conv.col").string();
   for (auto _ : state) {
-    std::ifstream in{fx.csv_path};
-    std::string line;
-    std::getline(in, line);  // header
+    std::ifstream in{fx.csv_path, std::ios::binary};
+    proxy::LineReader lines{in};
     colfmt::Writer writer{out};
-    while (std::getline(in, line)) {
-      const auto record = proxy::from_csv(line);
-      if (record) writer.add(*record);
-    }
+    proxy::read_log_strict(lines, [&writer](const proxy::RecordView& record) {
+      writer.add(record.to_record());
+    });
     benchmark::DoNotOptimize(writer.finish().bytes);
   }
   state.SetItemsProcessed(state.iterations() *

@@ -10,13 +10,20 @@ namespace syrwatch::analysis {
 Dataset::Dataset() : pool_(std::make_unique<util::StringPool>()) {}
 
 void Dataset::add(const proxy::LogRecord& record) {
+  add(proxy::RecordView{record});
+}
+
+void Dataset::add(const proxy::RecordView& record) {
+  // Interning order fixes the pool ids, and with them every id-order
+  // tie-break downstream: host, its registrable domain, path, query,
+  // agent, categories, method.
   Row row;
   row.time = record.time;
   row.user_hash = record.user_hash;
-  row.host = pool_->intern(record.url.host);
+  row.host = pool_->intern(record.host);
   resolve_host(row.host);
-  row.path = pool_->intern(record.url.path);
-  row.query = pool_->intern(record.url.query);
+  row.path = pool_->intern(record.path);
+  row.query = pool_->intern(record.query);
   row.agent = pool_->intern(record.user_agent);
   row.categories = pool_->intern(record.categories);
   row.method = pool_->intern(record.method);
@@ -24,10 +31,10 @@ void Dataset::add(const proxy::LogRecord& record) {
     row.dest_ip = record.dest_ip->value();
     row.has_dest_ip = true;
   }
-  row.port = record.url.port;
+  row.port = record.port;
   row.status = record.status;
   row.proxy_index = record.proxy_index;
-  row.scheme = record.url.scheme;
+  row.scheme = record.scheme;
   row.result = record.filter_result;
   row.exception = record.exception;
   if (rows_.empty() || row.time < first_time_) first_time_ = row.time;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "net/url.h"
+#include "proxy/log_io.h"
 #include "proxy/log_record.h"
 #include "util/string_pool.h"
 
@@ -50,6 +51,8 @@ class Dataset {
   Dataset();
 
   void add(const proxy::LogRecord& record);
+  /// Interns straight from a decoded CSV line; no owned copy is made.
+  void add(const proxy::RecordView& record);
 
   /// Stable-sorts rows by time. Call once after the last add().
   void finalize();

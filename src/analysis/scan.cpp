@@ -269,13 +269,15 @@ void open_columnar(const std::string& path, const SourceOptions& options,
 void open_csv(const std::string& path, const SourceOptions& options,
               std::unique_ptr<Dataset>& dataset,
               proxy::LogReadStats& read_stats) {
-  std::ifstream in{path};
+  std::ifstream in{path, std::ios::binary};
   if (!in) refuse(SourceOpenErrorCode::kNotFound, path, "cannot open");
   dataset = std::make_unique<Dataset>();
+  proxy::LineReader lines{in};
+  const proxy::RecordSink add = [&dataset](const proxy::RecordView& record) {
+    dataset->add(record);
+  };
   if (options.lenient) {
-    auto log = proxy::read_log_lenient(in);
-    read_stats = log.stats;
-    for (const auto& record : log.records) dataset->add(record);
+    read_stats = proxy::read_log_lenient(lines, add);
     dataset->finalize();
     return;
   }
@@ -289,26 +291,14 @@ void open_csv(const std::string& path, const SourceOptions& options,
   if (*tail != '\n')
     refuse(SourceOpenErrorCode::kTornTail, path,
            "final line lacks a newline (truncated write?)");
-  std::string line;
-  std::uint64_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line_no == 1) {
-      if (line != proxy::log_csv_header())
-        refuse(SourceOpenErrorCode::kBadMagic, path,
-               "first line is not the log CSV header");
-      continue;
-    }
-    proxy::ParseDiagnosis diagnosis;
-    const auto record = proxy::from_csv(line, &diagnosis);
-    if (!record.has_value())
-      refuse(SourceOpenErrorCode::kMalformed, path,
-             "line " + std::to_string(line_no) + ": " +
-                 std::string{proxy::to_string(diagnosis.error)});
-    dataset->add(*record);
-  }
-  if (line_no == 0)
-    refuse(SourceOpenErrorCode::kBadMagic, path, "empty file, no header");
+  const proxy::StrictRead result = proxy::read_log_strict(lines, add);
+  if (result.status == proxy::StrictRead::Status::kBadHeader)
+    refuse(SourceOpenErrorCode::kBadMagic, path,
+           "first line is not the log CSV header");
+  if (result.status == proxy::StrictRead::Status::kBadRecord)
+    refuse(SourceOpenErrorCode::kMalformed, path,
+           "line " + std::to_string(result.line_number) + ": " +
+               std::string{proxy::to_string(result.diagnosis.error)});
   dataset->finalize();
 }
 

@@ -1,6 +1,7 @@
 #include "analysis/stream.h"
 
 #include <cerrno>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -15,8 +16,7 @@ void SpoolTail::resume_at(std::uint64_t offset) {
   expect_header_ = offset == 0;
 }
 
-std::size_t SpoolTail::poll(
-    const std::function<void(const proxy::LogRecord&)>& sink) {
+std::size_t SpoolTail::poll(const proxy::RecordSink& sink) {
   polled_ = true;
   util::VfsStat st;
   if (!vfs_->stat(path_, st)) return 0;  // spool not created yet
@@ -38,6 +38,15 @@ std::size_t SpoolTail::poll(
   if (fd < 0) return 0;  // raced an unlink between stat and open
 
   std::size_t delivered = 0;
+  proxy::RecordView record;
+  std::string scratch;
+  const auto deliver = [&](std::string_view line) {
+    if (proxy::read_lenient_line(line, expect_header_, stats_, record,
+                                 scratch)) {
+      sink(record);
+      ++delivered;
+    }
+  };
   char chunk[64 * 1024];
   int retries = 0;
   for (;;) {
@@ -51,17 +60,26 @@ std::size_t SpoolTail::poll(
     retries = 0;
     const auto size = static_cast<std::size_t>(got);
     consumed_ += size;
+    // Lines are decoded in place from the chunk; only a line that spans
+    // two reads is assembled in pending_.
     std::size_t start = 0;
-    for (std::size_t i = 0; i < size; ++i) {
-      if (chunk[i] != '\n') continue;
-      pending_.append(chunk + start, i - start);
-      if (const auto record =
-              proxy::read_lenient_line(pending_, expect_header_, stats_)) {
-        sink(*record);
-        ++delivered;
-      }
+    const char* newline =
+        static_cast<const char*>(std::memchr(chunk, '\n', size));
+    if (!pending_.empty() && newline != nullptr) {
+      const auto end = static_cast<std::size_t>(newline - chunk);
+      pending_.append(chunk, end);
+      deliver(pending_);
       pending_.clear();
-      start = i + 1;
+      start = end + 1;
+      newline = static_cast<const char*>(
+          std::memchr(chunk + start, '\n', size - start));
+    }
+    while (newline != nullptr) {
+      const auto end = static_cast<std::size_t>(newline - chunk);
+      deliver({chunk + start, end - start});
+      start = end + 1;
+      newline = static_cast<const char*>(
+          std::memchr(chunk + start, '\n', size - start));
     }
     pending_.append(chunk + start, size - start);
   }

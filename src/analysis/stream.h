@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "analysis/dataset.h"
@@ -30,7 +29,10 @@ namespace syrwatch::analysis {
 ///    cold-tailed the whole file (the resume contract tests assert).
 ///  - Every complete line goes through proxy::read_lenient_line, the
 ///    step proxy::read_log_lenient reads with, so malformed lines are
-///    skipped and tallied (stats()) identically online and offline.
+///    skipped and tallied (stats()) identically online and offline. Lines
+///    are decoded in place from the read chunk; only one that spans two
+///    reads is copied (into the pending fragment). The sink receives a
+///    proxy::RecordView valid for the duration of the call.
 ///  - A spool rotated (replaced: inode change) or truncated underneath
 ///    the tail does not wedge the watch loop: the tail reopens by path,
 ///    restarts from byte 0 of the new file, and counts a gap (gaps()) —
@@ -44,7 +46,7 @@ class SpoolTail {
   /// Drains newly appended complete lines into `sink`. Returns the
   /// record count delivered. A missing file is not an error (the run may
   /// not have created the spool yet): the poll simply delivers nothing.
-  std::size_t poll(const std::function<void(const proxy::LogRecord&)>& sink);
+  std::size_t poll(const proxy::RecordSink& sink);
 
   /// Resume point: consumed bytes up to the last complete line.
   std::uint64_t offset() const noexcept {
@@ -91,7 +93,7 @@ class StreamSource {
   /// Drains the tail. Returns records appended to the store.
   std::size_t poll() {
     return tail_.poll(
-        [this](const proxy::LogRecord& record) { records_.add(record); });
+        [this](const proxy::RecordView& record) { records_.add(record); });
   }
 
   LogSource source() const { return LogSource{records_}; }

@@ -126,10 +126,9 @@ class Writer {
   std::unique_ptr<BlockBuilder> block_;
   WriterOptions options_;
   // Dictionary: string → id, id order = first sight across the file.
-  // (A std::vector of map iterators would dangle; the deque-backed pool
-  // idiom from util::StringPool is overkill here because the writer never
-  // reads strings back — it only needs the forward map and the pending
-  // delta list.)
+  // (A std::vector of map iterators would dangle; a util::StringPool is
+  // overkill here because the writer never reads strings back — it only
+  // needs the forward map and the pending delta list.)
   std::vector<std::string> pending_dict_;  // strings not yet flushed
   struct DictIndex;
   std::unique_ptr<DictIndex> dict_;

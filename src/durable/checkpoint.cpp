@@ -89,33 +89,29 @@ std::uint64_t replay_spool(const std::string& path, std::uint64_t limit,
                            const workload::LogCallback& sink) {
   std::ifstream in{path, std::ios::binary};
   if (!in) throw std::runtime_error("checkpoint: cannot open spool " + path);
-  std::string line;
-  std::uint64_t consumed = 0;
-  std::uint64_t line_number = 0;
-  std::uint64_t replayed = 0;
-  while (consumed < limit && std::getline(in, line)) {
-    ++line_number;
-    consumed += line.size() + 1;  // getline consumed the '\n' too
-    if (consumed > limit)
-      throw std::runtime_error(
-          "checkpoint: " + path +
-          ": committed prefix does not end on a record boundary");
-    if (line_number == 1) continue;  // csv header
-    if (line.empty()) continue;
-    const auto record = proxy::from_csv(line);
-    if (!record)
-      throw std::runtime_error("checkpoint: " + path + ": line " +
-                               std::to_string(line_number) +
-                               ": unparseable checkpointed record");
-    sink(*record);
-    ++replayed;
-  }
-  if (in.bad())
+  proxy::LineReader lines{in, limit};
+  const proxy::StrictRead result = proxy::read_log_strict(
+      lines,
+      [&sink](const proxy::RecordView& record) { sink(record.to_record()); });
+  if (lines.failed())
     throw std::runtime_error("checkpoint: read error on spool " + path);
-  if (consumed != limit)
+  if (!lines.terminated())
+    throw std::runtime_error(
+        "checkpoint: " + path +
+        ": committed prefix does not end on a record boundary");
+  if (result.status == proxy::StrictRead::Status::kBadRecord)
+    throw std::runtime_error("checkpoint: " + path + ": line " +
+                             std::to_string(result.line_number) +
+                             ": unparseable checkpointed record");
+  // No line at all is an empty prefix; the size check below decides.
+  if (result.status == proxy::StrictRead::Status::kBadHeader &&
+      result.line_number != 0)
+    throw std::runtime_error("checkpoint: " + path +
+                             ": spool header missing or foreign");
+  if (lines.consumed() != limit)
     throw std::runtime_error("checkpoint: " + path +
                              " is shorter than its manifest digest");
-  return replayed;
+  return result.records;
 }
 
 std::string read_file(const std::string& path) {

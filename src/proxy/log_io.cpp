@@ -1,26 +1,26 @@
 #include "proxy/log_io.h"
 
 #include <charconv>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 
 #include "util/csv.h"
 #include "util/simtime.h"
-#include "util/strings.h"
 
 namespace syrwatch::proxy {
 
 namespace {
 
-constexpr int kColumnCount = 17;
+constexpr std::size_t kColumnCount = 17;
 
 std::string field_or_dash(std::string_view value) {
   return value.empty() ? "-" : std::string(value);
 }
 
-std::string dash_to_empty(std::string value) {
-  return value == "-" ? std::string{} : value;
+std::string_view dash_to_empty(std::string_view value) {
+  return value == "-" ? std::string_view{} : value;
 }
 
 std::optional<std::uint64_t> parse_u64(std::string_view text, int base = 10) {
@@ -46,11 +46,27 @@ std::optional<int> parse_civil_field(std::string_view text, int lo, int hi) {
   return value;
 }
 
-std::optional<std::int64_t> parse_timestamp(const std::string& date,
-                                            const std::string& clock) {
-  const auto date_parts = util::split(date, '-');
-  const auto time_parts = util::split(clock, ':');
-  if (date_parts.size() != 3 || time_parts.size() != 3) return std::nullopt;
+/// Splits "a<sep>b<sep>c" into exactly three parts (empty parts kept, so
+/// a third separator fails).
+bool split3(std::string_view text, char sep, std::string_view (&parts)[3]) {
+  const std::size_t first = text.find(sep);
+  if (first == std::string_view::npos) return false;
+  const std::size_t second = text.find(sep, first + 1);
+  if (second == std::string_view::npos ||
+      text.find(sep, second + 1) != std::string_view::npos)
+    return false;
+  parts[0] = text.substr(0, first);
+  parts[1] = text.substr(first + 1, second - first - 1);
+  parts[2] = text.substr(second + 1);
+  return true;
+}
+
+std::optional<std::int64_t> parse_timestamp(std::string_view date,
+                                            std::string_view clock) {
+  std::string_view date_parts[3];
+  std::string_view time_parts[3];
+  if (!split3(date, '-', date_parts) || !split3(clock, ':', time_parts))
+    return std::nullopt;
   util::CivilDateTime c;
   const auto year = parse_civil_field(date_parts[0], 1970, 9999);
   const auto month = parse_civil_field(date_parts[1], 1, 12);
@@ -75,85 +91,63 @@ std::optional<std::int64_t> parse_timestamp(const std::string& date,
   return t;
 }
 
-std::optional<LogRecord> from_csv_impl(const std::string& line,
-                                       ParseDiagnosis& diagnosis) {
-  diagnosis = {};
-  std::vector<std::string> f;
-  try {
-    f = util::csv_parse(line);
-  } catch (const util::CsvParseError& error) {
-    diagnosis.error = error.kind() == util::CsvError::kMalformedQuote
-                          ? ParseError::kMalformedQuote
-                          : ParseError::kUnbalancedQuote;
-    return std::nullopt;
-  }
-  diagnosis.columns = f.size();
-  if (f.size() != kColumnCount) {
-    diagnosis.error = ParseError::kColumnCount;
-    return std::nullopt;
-  }
-
-  LogRecord record;
-
+/// Validates the split fields into `record`; returns the failure.
+ParseError decode_fields(const std::string_view (&f)[kColumnCount],
+                         RecordView& record) {
   const auto time = parse_timestamp(f[0], f[1]);
-  if (!time) {
-    diagnosis.error = ParseError::kBadTimestamp;
-    return std::nullopt;
-  }
+  if (!time) return ParseError::kBadTimestamp;
   record.time = *time;
 
   const auto s_ip = net::Ipv4Addr::parse(f[2]);
-  if (!s_ip || s_ip->octet(3) < 42 || s_ip->octet(3) > 48) {
-    diagnosis.error = ParseError::kBadAddress;
-    return std::nullopt;
-  }
+  if (!s_ip || s_ip->octet(3) < 42 || s_ip->octet(3) > 48)
+    return ParseError::kBadAddress;
   record.proxy_index = static_cast<std::uint8_t>(s_ip->octet(3) - 42);
 
-  diagnosis.error = ParseError::kBadField;  // any failure below
   if (f[3] == "0.0.0.0") {
     record.user_hash = 0;
   } else {
     const auto hash = parse_u64(f[3], 16);
-    if (!hash) return std::nullopt;
+    if (!hash) return ParseError::kBadField;
     record.user_hash = *hash;
   }
 
   record.method = f[4];
   const auto scheme = net::parse_scheme(f[5]);
-  if (!scheme) return std::nullopt;
-  record.url.scheme = *scheme;
-  record.url.host = f[6];
+  if (!scheme) return ParseError::kBadField;
+  record.scheme = *scheme;
+  record.host = f[6];
   const auto port = parse_u64(f[7]);
-  if (!port || *port > 65535) return std::nullopt;
-  record.url.port = static_cast<std::uint16_t>(*port);
-  record.url.path = dash_to_empty(f[8]);
-  record.url.query = dash_to_empty(f[9]);
+  if (!port || *port > 65535) return ParseError::kBadField;
+  record.port = static_cast<std::uint16_t>(*port);
+  record.path = dash_to_empty(f[8]);
+  record.query = dash_to_empty(f[9]);
   // f[10] (cs-uri-ext) is derived from the path; ignored on read.
   record.user_agent = dash_to_empty(f[11]);
   record.categories = dash_to_empty(f[12]);
   const auto status = parse_u64(f[13]);
-  if (!status || *status > 999) return std::nullopt;
+  if (!status || *status > 999) return ParseError::kBadField;
   record.status = static_cast<std::uint16_t>(*status);
   const auto result = parse_filter_result(f[14]);
-  if (!result) return std::nullopt;
+  if (!result) return ParseError::kBadField;
   record.filter_result = *result;
   const auto exception = parse_exception(f[15]);
-  if (!exception) return std::nullopt;
+  if (!exception) return ParseError::kBadField;
   record.exception = *exception;
+  record.dest_ip.reset();
   if (f[16] != "-") {
     const auto dest = net::Ipv4Addr::parse(f[16]);
-    if (!dest) return std::nullopt;
+    if (!dest) return ParseError::kBadField;
     record.dest_ip = *dest;
   }
-  diagnosis.error = ParseError::kNone;
-  return record;
+  return ParseError::kNone;
 }
 
-/// CRLF tolerance for the line-oriented readers: std::getline strips the
-/// '\n' but leaves the '\r', which would fail the header comparison and
-/// misclassify "\r\n" blank lines. Field-level CRs are csv_parse's job.
-void strip_cr(std::string& line) {
-  if (!line.empty() && line.back() == '\r') line.pop_back();
+/// The '\r' a CRLF log leaves on each line split off at '\n': the line
+/// readers strip one before the header and empty-line checks. Field-level
+/// CRs are util::csv_split's job.
+std::string_view strip_cr(std::string_view line) {
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  return line;
 }
 
 /// "wrong column count (got 4, expected 17)"-style reason for messages.
@@ -220,10 +214,148 @@ std::string to_csv(const LogRecord& record) {
   return util::csv_join(fields);
 }
 
+RecordView::RecordView(const LogRecord& record)
+    : time(record.time),
+      proxy_index(record.proxy_index),
+      user_hash(record.user_hash),
+      user_agent(record.user_agent),
+      method(record.method),
+      scheme(record.url.scheme),
+      host(record.url.host),
+      port(record.url.port),
+      path(record.url.path),
+      query(record.url.query),
+      categories(record.categories),
+      filter_result(record.filter_result),
+      exception(record.exception),
+      status(record.status),
+      dest_ip(record.dest_ip) {}
+
+LogRecord RecordView::to_record() const {
+  LogRecord record;
+  record.time = time;
+  record.proxy_index = proxy_index;
+  record.user_hash = user_hash;
+  record.user_agent = user_agent;
+  record.method = method;
+  record.url.scheme = scheme;
+  record.url.host = host;
+  record.url.port = port;
+  record.url.path = path;
+  record.url.query = query;
+  record.categories = categories;
+  record.filter_result = filter_result;
+  record.exception = exception;
+  record.status = status;
+  record.dest_ip = dest_ip;
+  return record;
+}
+
+ParseDiagnosis parse_record(std::string_view line, RecordView& record,
+                            std::string& scratch) {
+  ParseDiagnosis diagnosis;
+  std::string_view fields[kColumnCount];
+  const util::CsvSplit split = util::csv_split(line, fields, scratch);
+  if (split.error) {
+    diagnosis.error = *split.error == util::CsvError::kMalformedQuote
+                          ? ParseError::kMalformedQuote
+                          : ParseError::kUnbalancedQuote;
+    return diagnosis;
+  }
+  diagnosis.columns = split.fields;
+  diagnosis.error = split.fields == kColumnCount
+                        ? decode_fields(fields, record)
+                        : ParseError::kColumnCount;
+  return diagnosis;
+}
+
 std::optional<LogRecord> from_csv(const std::string& line,
                                   ParseDiagnosis* diagnosis) {
-  ParseDiagnosis local;
-  return from_csv_impl(line, diagnosis != nullptr ? *diagnosis : local);
+  RecordView record;
+  std::string scratch;
+  const ParseDiagnosis result = parse_record(line, record, scratch);
+  if (diagnosis != nullptr) *diagnosis = result;
+  if (result.error != ParseError::kNone) return std::nullopt;
+  return record.to_record();
+}
+
+LineReader::LineReader(std::istream& in, std::uint64_t limit)
+    : in_(in), limit_(limit), buffer_(kChunkBytes, '\0') {}
+
+bool LineReader::next(std::string_view& line) {
+  for (;;) {
+    const char* base = buffer_.data();
+    if (const void* newline =
+            std::memchr(base + begin_, '\n', end_ - begin_)) {
+      const auto at = static_cast<std::size_t>(
+          static_cast<const char*>(newline) - base);
+      line = {base + begin_, at - begin_};
+      consumed_ += at + 1 - begin_;
+      begin_ = at + 1;
+      ++line_number_;
+      return true;
+    }
+    if (eof_) {
+      if (begin_ == end_) return false;
+      line = {base + begin_, end_ - begin_};
+      consumed_ += end_ - begin_;
+      begin_ = end_;
+      terminated_ = false;
+      ++line_number_;
+      return true;
+    }
+    fill();
+  }
+}
+
+void LineReader::fill() {
+  // Carry the partial line to the front; grow only when it fills the
+  // whole buffer (a line longer than a chunk).
+  if (begin_ > 0) {
+    std::memmove(buffer_.data(), buffer_.data() + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+  }
+  if (end_ == buffer_.size()) buffer_.resize(buffer_.size() * 2);
+  std::size_t want = buffer_.size() - end_;
+  if (limit_ < want) want = static_cast<std::size_t>(limit_);
+  if (want == 0) {
+    eof_ = true;
+    return;
+  }
+  in_.read(buffer_.data() + end_, static_cast<std::streamsize>(want));
+  const auto got = static_cast<std::size_t>(in_.gcount());
+  end_ += got;
+  limit_ -= got;
+  if (got < want) eof_ = true;
+}
+
+bool LineReader::failed() const { return in_.bad(); }
+
+StrictRead read_log_strict(LineReader& lines, const RecordSink& sink) {
+  StrictRead result;
+  std::string_view line;
+  if (!lines.next(line) || strip_cr(line) != log_csv_header()) {
+    result.status = StrictRead::Status::kBadHeader;
+    result.line_number = lines.line_number();
+    return result;
+  }
+  RecordView record;
+  std::string scratch;
+  while (lines.next(line)) {
+    line = strip_cr(line);
+    if (line.empty()) continue;
+    result.diagnosis = parse_record(line, record, scratch);
+    if (result.diagnosis.error != ParseError::kNone) {
+      result.status = StrictRead::Status::kBadRecord;
+      result.line_number = lines.line_number();
+      result.line = line;
+      return result;
+    }
+    sink(record);
+    ++result.records;
+  }
+  return result;
 }
 
 void write_log(std::ostream& out, const std::vector<LogRecord>& records) {
@@ -249,27 +381,19 @@ util::ArtifactInfo write_log_file(const std::string& path,
 }
 
 std::vector<LogRecord> read_log(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line))
-    throw std::runtime_error("read_log: missing or unexpected header");
-  strip_cr(line);
-  if (line != log_csv_header())
-    throw std::runtime_error("read_log: missing or unexpected header");
+  LineReader lines{in};
   std::vector<LogRecord> records;
-  std::uint64_t line_number = 1;  // header was line 1
-  while (std::getline(in, line)) {
-    ++line_number;
-    strip_cr(line);
-    if (line.empty()) continue;
-    ParseDiagnosis diagnosis;
-    auto record = from_csv(line, &diagnosis);
-    if (!record) {
-      throw std::runtime_error(
-          "read_log: line " + std::to_string(line_number) + ": " +
-          describe_failure(diagnosis) + ": " + line);
-    }
-    records.push_back(std::move(*record));
-  }
+  const StrictRead result = read_log_strict(
+      lines,
+      [&records](const RecordView& record) {
+        records.push_back(record.to_record());
+      });
+  if (result.status == StrictRead::Status::kBadHeader)
+    throw std::runtime_error("read_log: missing or unexpected header");
+  if (result.status == StrictRead::Status::kBadRecord)
+    throw std::runtime_error(
+        "read_log: line " + std::to_string(result.line_number) + ": " +
+        describe_failure(result.diagnosis) + ": " + result.line);
   return records;
 }
 
@@ -297,58 +421,56 @@ std::string LogReadStats::summary() const {
   return out;
 }
 
-std::optional<LogRecord> read_lenient_line(std::string& line,
-                                           bool& expect_header,
-                                           LogReadStats& stats,
-                                           ParseError* error) {
+bool read_lenient_line(std::string_view line, bool& expect_header,
+                       LogReadStats& stats, RecordView& record,
+                       std::string& scratch, ParseError* error) {
   if (error != nullptr) *error = ParseError::kNone;
   ++stats.lines;
-  strip_cr(line);
+  line = strip_cr(line);
   if (expect_header) {
     expect_header = false;
     if (line == log_csv_header()) {
       stats.header_present = true;
-      return std::nullopt;
+      return false;
     }
     // Headerless (or header-damaged) log: fall through and try the line
     // as data — a truncated header will be tallied as a skipped line.
   }
   if (line.empty()) {
     ++stats.empty_lines;
-    return std::nullopt;
+    return false;
   }
   ++stats.data_lines;
-  ParseDiagnosis diagnosis;
-  auto record = from_csv(line, &diagnosis);
-  if (record) {
+  const ParseDiagnosis diagnosis = parse_record(line, record, scratch);
+  if (diagnosis.error == ParseError::kNone) {
     ++stats.recovered;
-    return record;
+    return true;
   }
   const auto reason = static_cast<std::size_t>(diagnosis.error);
   ++stats.skipped[reason];
   if (stats.first_error_line[reason] == 0)
     stats.first_error_line[reason] = stats.lines;
   if (error != nullptr) *error = diagnosis.error;
-  return std::nullopt;
+  return false;
 }
 
-LenientLog read_log_lenient(std::istream& in) {
-  LenientLog result;
-  LogReadStats& stats = result.stats;
-
-  std::string line;
+LogReadStats read_log_lenient(LineReader& lines, const RecordSink& sink) {
+  LogReadStats stats;
+  RecordView record;
+  std::string scratch;
+  std::string_view line;
   bool expect_header = true;
   bool final_line_unterminated = false;
   ParseError last_data_error = ParseError::kNone;
   std::uint64_t last_data_error_line = 0;
-  while (std::getline(in, line)) {
+  while (lines.next(line)) {
     ParseError error = ParseError::kNone;
-    auto record = read_lenient_line(line, expect_header, stats, &error);
-    // getline hitting EOF before the delimiter means this (final) line was
-    // never newline-terminated — the signature of a torn write.
-    final_line_unterminated = in.eof() && !line.empty();
-    if (record) {
-      result.records.push_back(std::move(*record));
+    const bool parsed = read_lenient_line(line, expect_header, stats, record,
+                                          scratch, &error);
+    // A final line without its '\n' is the signature of a torn write.
+    final_line_unterminated = !lines.terminated() && !strip_cr(line).empty();
+    if (parsed) {
+      sink(record);
       last_data_error = ParseError::kNone;
     } else if (error != ParseError::kNone) {
       last_data_error = error;
@@ -359,6 +481,15 @@ LenientLog read_log_lenient(std::istream& in) {
       final_line_unterminated ||
       (last_data_error == ParseError::kColumnCount &&
        last_data_error_line == stats.lines);
+  return stats;
+}
+
+LenientLog read_log_lenient(std::istream& in) {
+  LenientLog result;
+  LineReader lines{in};
+  result.stats = read_log_lenient(lines, [&result](const RecordView& record) {
+    result.records.push_back(record.to_record());
+  });
   return result;
 }
 

@@ -2,9 +2,11 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "proxy/log_record.h"
@@ -46,11 +48,110 @@ struct ParseDiagnosis {
   std::size_t columns = 0;
 };
 
-/// Parses a line produced by to_csv. Returns nullopt on malformed input
-/// (wrong column count, bad enums, bad timestamp, out-of-range civil date
-/// fields), filling `diagnosis` (when given) with the reason.
+/// One decoded log line whose string fields are views: of the line
+/// itself, or of the caller's scratch buffer for a quoted field with
+/// doubled quotes (see util::csv_split). Valid while both stay unchanged.
+/// The zero-copy form of LogRecord that every CSV reader decodes into;
+/// analysis::Dataset interns straight from it.
+struct RecordView {
+  std::int64_t time = 0;
+  std::uint8_t proxy_index = 0;
+  std::uint64_t user_hash = 0;
+  std::string_view user_agent;
+  std::string_view method;
+  net::Scheme scheme = net::Scheme::kHttp;
+  std::string_view host;
+  std::uint16_t port = 80;
+  std::string_view path;
+  std::string_view query;
+  std::string_view categories;
+  FilterResult filter_result = FilterResult::kObserved;
+  ExceptionId exception = ExceptionId::kNone;
+  std::uint16_t status = 200;
+  std::optional<net::Ipv4Addr> dest_ip;
+
+  RecordView() = default;
+  /// Views of `record`'s strings; valid while `record` is unchanged.
+  explicit RecordView(const LogRecord& record);
+  /// An owning copy.
+  LogRecord to_record() const;
+};
+
+/// Decodes a line produced by to_csv into `record` (views of `line` and
+/// `scratch`). Rejects wrong column counts, bad enums, bad timestamps and
+/// out-of-range civil date fields; the diagnosis names the reason (kNone
+/// when `record` holds the line). Quoting errors are reported left to
+/// right, before the column count is checked. One trailing '\r' is
+/// stripped, as util::csv_split does.
+ParseDiagnosis parse_record(std::string_view line, RecordView& record,
+                            std::string& scratch);
+
+/// parse_record into an owned LogRecord. Returns nullopt on malformed
+/// input, filling `diagnosis` (when given) with the reason.
 std::optional<LogRecord> from_csv(const std::string& line,
                                   ParseDiagnosis* diagnosis = nullptr);
+
+/// Receives each record a read loop decodes; the view is valid only for
+/// the duration of the call.
+using RecordSink = std::function<void(const RecordView&)>;
+
+/// The chunked line splitter every whole-log CSV reader shares. Reads its
+/// input kChunkBytes at a time and hands out each line, without its '\n',
+/// as a view into its buffer; a line that spans two chunks is carried to
+/// the front of the buffer, and one longer than the buffer grows it.
+/// Chunks rather than a whole-file mapping keep a load's peak memory at
+/// the decoded dataset's size.
+class LineReader {
+ public:
+  static constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
+
+  /// Reads `in` up to `limit` bytes (all of it by default).
+  explicit LineReader(std::istream& in,
+                      std::uint64_t limit = ~std::uint64_t{0});
+
+  /// The next line; the view is valid until the next call. False at the
+  /// end of the input or of the limit.
+  bool next(std::string_view& line);
+
+  /// False only when the last line returned was the input's final bytes
+  /// and lacked a '\n' — the signature of a torn write.
+  bool terminated() const noexcept { return terminated_; }
+  /// 1-based number of the last line returned.
+  std::uint64_t line_number() const noexcept { return line_number_; }
+  /// Bytes consumed through the last line returned, '\n' included.
+  std::uint64_t consumed() const noexcept { return consumed_; }
+  /// The stream reported a read error (not just its end).
+  bool failed() const;
+
+ private:
+  void fill();
+
+  std::istream& in_;
+  std::uint64_t limit_;
+  std::string buffer_;
+  std::size_t begin_ = 0;  // first unreturned byte in buffer_
+  std::size_t end_ = 0;    // end of the bytes read into buffer_
+  bool eof_ = false;
+  bool terminated_ = true;
+  std::uint64_t line_number_ = 0;
+  std::uint64_t consumed_ = 0;
+};
+
+/// Where read_log_strict stopped.
+struct StrictRead {
+  enum class Status : std::uint8_t { kOk, kBadHeader, kBadRecord };
+  Status status = Status::kOk;
+  std::uint64_t records = 0;      // delivered to the sink
+  std::uint64_t line_number = 0;  // of the failing line; 0 = no line at all
+  ParseDiagnosis diagnosis;       // of the failing record line
+  std::string line;               // its text, one '\r' stripped
+};
+
+/// The strict read loop: strips one trailing '\r' from each line, requires
+/// the first to be log_csv_header(), skips empty lines, and hands every
+/// other line's record to `sink`. Stops at the first failure, which each
+/// caller words as its own refusal.
+StrictRead read_log_strict(LineReader& lines, const RecordSink& sink);
 
 /// Writes header + all records, then flushes. Throws std::runtime_error
 /// when the stream reports a write/flush failure — a full disk must not
@@ -105,19 +206,23 @@ struct LenientLog {
 /// One line of the lenient reader: strips a trailing '\r', counts the line
 /// in `stats`, accepts the header when `expect_header` is set (clearing
 /// it; a non-header first line is re-tried as data), tallies empty and
-/// malformed lines, and returns the record a data line parsed to.
-/// `error` (when given) receives the skip reason of a malformed data line
-/// and kNone otherwise. read_log_lenient and analysis::SpoolTail both read
-/// through it, so a damaged log degrades identically offline and online.
-std::optional<LogRecord> read_lenient_line(std::string& line,
-                                           bool& expect_header,
-                                           LogReadStats& stats,
-                                           ParseError* error = nullptr);
+/// malformed lines, and returns true when `record` holds the record a data
+/// line decoded to (views of `line` and `scratch`). `error` (when given)
+/// receives the skip reason of a malformed data line and kNone otherwise.
+/// read_log_lenient and analysis::SpoolTail both read through it, so a
+/// damaged log degrades identically offline and online.
+bool read_lenient_line(std::string_view line, bool& expect_header,
+                       LogReadStats& stats, RecordView& record,
+                       std::string& scratch, ParseError* error = nullptr);
 
 /// Damage-tolerant reader for leak-grade logs: never throws on malformed
 /// input. A wrong or missing header is recorded (not fatal) and the first
 /// line is then re-tried as data; every malformed row is skipped and
-/// tallied by reason in `stats`. Intact rows always survive.
+/// tallied by reason in the returned stats. Intact rows always survive
+/// and go to `sink`.
+LogReadStats read_log_lenient(LineReader& lines, const RecordSink& sink);
+
+/// read_log_lenient into owned records.
 LenientLog read_log_lenient(std::istream& in);
 
 }  // namespace syrwatch::proxy

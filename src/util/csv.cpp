@@ -24,53 +24,79 @@ std::string csv_join(const std::vector<std::string>& fields) {
   return out;
 }
 
-std::vector<std::string> csv_parse(std::string_view line) {
-  // CRLF tail: std::getline strips the '\n' but leaves the '\r'. A carriage
-  // return that is genuinely field data always arrives quoted (csv_escape
-  // quotes it, so the line would end with '"'), which makes a bare trailing
-  // '\r' unambiguously a line-terminator artifact — drop it.
+CsvSplit csv_split(std::string_view line, std::span<std::string_view> out,
+                   std::string& scratch) {
+  // CRLF tail: a carriage return that is genuinely field data always
+  // arrives quoted (csv_escape quotes it, so the line would end with '"'),
+  // which makes a bare trailing '\r' unambiguously a line-terminator
+  // artifact — drop it.
   if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  scratch.clear();
+  scratch.reserve(line.size());  // never reallocates below: views stay valid
 
-  std::vector<std::string> fields;
-  std::string current;
-  bool in_quotes = false;
-  // Set once a quoted field closes; only ',' or end-of-line may follow.
-  bool quote_closed = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          current.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-          quote_closed = true;
+  CsvSplit split;
+  const std::size_t n = line.size();
+  std::size_t i = 0;
+  for (;;) {
+    std::string_view field;
+    if (i < n && line[i] == '"') {
+      std::size_t start = ++i;
+      std::size_t unescaped = std::string::npos;  // scratch offset, if copied
+      for (;;) {
+        const std::size_t quote = line.find('"', i);
+        if (quote == std::string_view::npos) {
+          split.error = CsvError::kUnbalancedQuote;
+          return split;
         }
-      } else {
-        current.push_back(c);
+        if (quote + 1 < n && line[quote + 1] == '"') {
+          if (unescaped == std::string::npos) unescaped = scratch.size();
+          scratch.append(line.data() + start, quote + 1 - start);
+          i = start = quote + 2;
+          continue;
+        }
+        if (unescaped == std::string::npos) {
+          field = line.substr(start, quote - start);
+        } else {
+          scratch.append(line.data() + start, quote - start);
+          field = std::string_view{scratch}.substr(unescaped);
+        }
+        i = quote + 1;
+        break;
       }
-    } else if (c == ',') {
-      fields.push_back(std::move(current));
-      current.clear();
-      quote_closed = false;
-    } else if (quote_closed) {
-      throw CsvParseError(CsvError::kMalformedQuote,
-                          "csv_parse: garbage after closing quote");
-    } else if (c == '"') {
-      if (!current.empty())
-        throw CsvParseError(CsvError::kMalformedQuote,
-                            "csv_parse: quote inside unquoted field");
-      in_quotes = true;
+      // Only ',' or end-of-line may follow a closing quote.
+      if (i < n && line[i] != ',') {
+        split.error = CsvError::kMalformedQuote;
+        return split;
+      }
     } else {
-      current.push_back(c);
+      const std::size_t start = i;
+      while (i < n && line[i] != ',' && line[i] != '"') ++i;
+      if (i < n && line[i] == '"') {  // a quote inside an unquoted field
+        split.error = CsvError::kMalformedQuote;
+        return split;
+      }
+      field = line.substr(start, i - start);
     }
+    if (split.fields < out.size()) out[split.fields] = field;
+    ++split.fields;
+    if (i >= n) return split;
+    ++i;  // past the ','
   }
-  if (in_quotes)
+}
+
+std::vector<std::string> csv_parse(std::string_view line) {
+  std::vector<std::string_view> views(line.size() + 1);
+  std::string scratch;
+  const CsvSplit split = csv_split(line, views, scratch);
+  if (split.error == CsvError::kUnbalancedQuote)
     throw CsvParseError(CsvError::kUnbalancedQuote,
                         "csv_parse: unbalanced quote");
-  fields.push_back(std::move(current));
-  return fields;
+  if (split.error == CsvError::kMalformedQuote)
+    throw CsvParseError(CsvError::kMalformedQuote,
+                        "csv_parse: malformed quote");
+  return std::vector<std::string>(
+      views.begin(),
+      views.begin() + static_cast<std::ptrdiff_t>(split.fields));
 }
 
 }  // namespace syrwatch::util

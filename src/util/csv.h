@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -44,12 +46,29 @@ class CsvParseError : public std::invalid_argument {
   CsvError kind_;
 };
 
-/// Parses one CSV line into fields. Handles quoted fields with embedded
-/// commas and doubled quotes, and strips one trailing '\r' (externally
-/// produced logs are routinely CRLF-terminated and std::getline only
-/// removes the '\n'). Throws CsvParseError on an unbalanced quote or on
-/// malformed quoting (trailing garbage after a closing quote, a bare quote
-/// inside an unquoted field).
+/// What csv_split found on a line.
+struct CsvSplit {
+  /// Fields on the line — all of them, also those past the output span.
+  /// Meaningless when `error` is set.
+  std::size_t fields = 0;
+  /// The first quoting error, scanning left to right; none on success.
+  std::optional<CsvError> error;
+};
+
+/// Splits one CSV line into views without copying: an unquoted field is a
+/// view of `line`, and so is a quoted one without a doubled quote; a quoted
+/// field with doubled quotes is unescaped into `scratch`, which csv_split
+/// clears and reserves to line.size(), so the views stay valid until
+/// `scratch` is next modified. Strips one trailing '\r' (externally produced
+/// logs are routinely CRLF-terminated, and a genuine field CR always
+/// arrives quoted). Stores the first out.size() fields and counts the rest.
+/// An unbalanced quote, bytes after a closing quote ("ab"x) or a bare
+/// quote inside an unquoted field (a"b) end the split with an error.
+CsvSplit csv_split(std::string_view line, std::span<std::string_view> out,
+                   std::string& scratch);
+
+/// csv_split into owned strings. Throws CsvParseError where csv_split
+/// reports an error.
 std::vector<std::string> csv_parse(std::string_view line);
 
 }  // namespace syrwatch::util

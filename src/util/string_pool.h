@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <string>
+#include <memory>
+#include <stdexcept>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 namespace syrwatch::util {
 
@@ -13,7 +13,8 @@ namespace syrwatch::util {
 /// The analysis datasets hold millions of log records whose host / path /
 /// query / user-agent fields repeat heavily; interning turns each record
 /// into a handful of integers. Id 0 is reserved for the empty string, so a
-/// default-constructed id renders as "" (the logs' '-' placeholder).
+/// default-constructed id renders as "" (the logs' '-' placeholder). Ids
+/// are dense and handed out in first-seen order.
 class StringPool {
  public:
   using Id = std::uint32_t;
@@ -30,15 +31,33 @@ class StringPool {
   Id lookup(std::string_view s) const noexcept;
 
   /// The interned string; views stay valid for the pool's lifetime.
-  std::string_view view(Id id) const;
+  std::string_view view(Id id) const {
+    if (id >= views_.size()) throw std::out_of_range("StringPool::view");
+    return views_[id];
+  }
 
-  std::size_t size() const noexcept { return strings_.size(); }
+  std::size_t size() const noexcept { return views_.size(); }
 
  private:
-  // deque keeps string objects stable so string_view keys into the map
-  // remain valid as the pool grows.
-  std::deque<std::string> strings_;
-  std::unordered_map<std::string_view, Id> index_;
+  struct Slot {
+    std::uint64_t hash = 0;
+    Id id = kNotFound;  // kNotFound marks an empty slot
+  };
+
+  std::size_t find_slot(std::string_view s, std::uint64_t hash) const noexcept;
+  std::string_view store(std::string_view s);
+  void grow();
+
+  // views_[id] points into blocks_, whose bytes never move, so a view
+  // stays valid however far the pool grows.
+  std::vector<std::string_view> views_;
+  std::vector<std::unique_ptr<char[]>> blocks_;
+  char* cursor_ = nullptr;
+  std::size_t left_ = 0;
+  // Open addressing with linear probing; the capacity is a power of two
+  // and at least twice size(). Stored hashes make a probe compare bytes
+  // only on a full 64-bit match and let grow() skip rehashing.
+  std::vector<Slot> slots_;
 };
 
 }  // namespace syrwatch::util

@@ -3,10 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "analysis/scan.h"
+#include "analysis/stream.h"
+#include "colfmt/container.h"
+#include "fault/corruptor.h"
 #include "proxy/log_io.h"
 #include "util/simtime.h"
 
@@ -327,6 +333,304 @@ TEST(LogIo, MidFileDamageIsNotATruncatedTail) {
   EXPECT_EQ(log.records.size(), 1u);
   EXPECT_EQ(log.stats.skipped_total(), 1u);
   EXPECT_FALSE(log.stats.truncated_tail);
+}
+
+// --- one decoder for every CSV read ----------------------------------------
+
+/// The decoder golden input: a seeded LogCorruptor-damaged log of 9,000
+/// varied records (over 1 MiB, so lines cross every read-chunk boundary)
+/// followed by edge lines and a torn, unterminated final record.
+std::string golden_log_bytes() {
+  std::string clean = log_csv_header() + "\n";
+  for (int i = 0; i < 9000; ++i) {
+    LogRecord r = sample_record();
+    r.time += i * 37;
+    r.proxy_index = static_cast<std::uint8_t>(i % 7);
+    r.user_hash =
+        i % 5 == 0 ? 0 : 0x1000 + static_cast<std::uint64_t>(i) * 7919;
+    r.url.host = "host" + std::to_string(i % 97) + ".example.sy";
+    r.url.path = "/p/" + std::to_string(i % 13);
+    r.url.query = i % 3 == 0
+                      ? ""
+                      : "q=" + std::to_string(i) + (i % 11 == 0 ? ",x" : "");
+    r.user_agent = i % 4 == 0 ? "Mozilla/5.0 (KHTML, like Gecko)"
+                              : "agent \"" + std::to_string(i % 9) + "\"";
+    r.categories = i % 2 == 0 ? "" : "unavailable";
+    r.filter_result =
+        i % 10 == 0 ? FilterResult::kDenied : FilterResult::kObserved;
+    r.exception =
+        i % 10 == 0 ? ExceptionId::kPolicyDenied : ExceptionId::kNone;
+    r.status = i % 10 == 0 ? 403 : 200;
+    if (i % 6 == 0)
+      r.dest_ip = net::Ipv4Addr{10, 0, 0, static_cast<std::uint8_t>(i)};
+    clean += to_csv(r) + "\n";
+  }
+  fault::CorruptionConfig config;
+  config.seed = 2011;
+  config.truncate_prob = 0.03;
+  config.garble_prob = 0.05;
+  config.drop_prob = 0.01;
+  fault::LogCorruptor corruptor{config};
+  std::string bytes = corruptor.corrupt_log(clean);
+  if (bytes.empty() || bytes.back() != '\n') bytes += '\n';
+  const std::string good = to_csv(sample_record());
+  bytes += good + "\r\r\n";  // two CRs: one per stripping layer
+  bytes += good + "\r\r\r\n";  // three: the last one reaches r-ip
+  bytes += "\r\n\n";  // blank lines, one CR-only
+  LogRecord quoted = sample_record();
+  quoted.user_agent = "say \"hi\", twice";  // doubled quotes + quoted comma
+  bytes += to_csv(quoted) + "\n";
+  bytes += good.substr(0, 40) + "\"\"" + good.substr(40) + "\n";  // a""b
+  bytes +=
+      good.substr(0, 50) + std::string(1, '\0') + good.substr(50) + "\n";
+  LogRecord big = sample_record();
+  big.user_agent = std::string(70000, 'a') + ",";  // one line > 64 KiB
+  bytes += to_csv(big) + "\n";
+  bytes += std::string(70000, 'x') + "\n";
+  bytes += "ab\"c,\"unclosed\n";  // malformed before unbalanced
+  bytes += "\"closed\"x,\"unclosed\n";
+  bytes += "a,\"unclosed,\"\"b\n";  // unbalanced only
+  bytes += good.substr(0, good.size() - 5);  // torn final record
+  return bytes;
+}
+
+constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
+
+std::uint64_t fnv1a(std::uint64_t hash, std::string_view bytes) {
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+/// FNV-1a over each record's CSV rendering, newline-terminated.
+std::uint64_t records_digest(const std::vector<LogRecord>& records) {
+  std::uint64_t hash = kFnvBasis;
+  for (const LogRecord& record : records)
+    hash = fnv1a(hash, to_csv(record) + "\n");
+  return hash;
+}
+
+/// FNV-1a over every scanned row of `source`. With `with_ids` the string
+/// ids are hashed too, so a change in interning order shows; without,
+/// rows of the two storage backends compare.
+std::uint64_t rows_digest(const analysis::LogSource& source,
+                          bool with_ids = true) {
+  std::uint64_t hash = kFnvBasis;
+  analysis::scan_increment(source, 0, [&](const analysis::Record& r) {
+    std::string row;
+    for (const std::uint64_t n :
+         {std::uint64_t(r.time), r.user_hash,
+          with_ids ? std::uint64_t(r.host_id) : 0,
+          with_ids ? std::uint64_t(r.agent_id) : 0, std::uint64_t(r.dest_ip),
+          std::uint64_t(r.port), std::uint64_t(r.status),
+          std::uint64_t(r.proxy_index), std::uint64_t(r.scheme),
+          std::uint64_t(r.result), std::uint64_t(r.exception),
+          std::uint64_t(r.has_dest_ip)})
+      row += std::to_string(n) + "|";
+    for (const std::string_view s :
+         {r.method, r.host, r.path, r.query, r.agent, r.categories, r.domain})
+      (row += s) += "|";
+    hash = fnv1a(hash, row + "\n");
+  });
+  return hash;
+}
+
+std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() + "/syrwatch_log_io_" + name;
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out{path, std::ios::binary | std::ios::trunc};
+  out << bytes;
+}
+
+struct GoldenStats {
+  std::uint64_t lines, data_lines, recovered, empty_lines;
+  bool header_present, truncated_tail;
+  std::array<std::uint64_t, kParseErrorCount> skipped, first_error_line;
+  std::uint64_t digest;
+};
+
+void expect_golden(const LogReadStats& stats, std::uint64_t digest,
+                   const GoldenStats& golden) {
+  EXPECT_EQ(stats.lines, golden.lines);
+  EXPECT_EQ(stats.data_lines, golden.data_lines);
+  EXPECT_EQ(stats.recovered, golden.recovered);
+  EXPECT_EQ(stats.empty_lines, golden.empty_lines);
+  EXPECT_EQ(stats.header_present, golden.header_present);
+  EXPECT_EQ(stats.truncated_tail, golden.truncated_tail);
+  EXPECT_EQ(stats.skipped, golden.skipped);
+  EXPECT_EQ(stats.first_error_line, golden.first_error_line);
+  EXPECT_EQ(digest, golden.digest);
+}
+
+// Per-reason skip counts, first error lines, the torn-tail flag and a
+// digest of the recovered records, captured from the getline + csv_parse
+// readers this decoder replaced: the acceptance set, the ParseError
+// classification (quote errors left to right, before the column count)
+// and the two-layer '\r' rule must not move.
+TEST(DecoderGolden, DamagedLogMatchesReferenceReaders) {
+  const std::string bytes = golden_log_bytes();
+  ASSERT_EQ(bytes.size(), 1346233u);
+  const GoldenStats lenient{8936, 8932, 8264, 3, true, true,
+                            {0, 38, 344, 84, 50, 108, 44},
+                            {0, 505, 89, 33, 387, 10, 46},
+                            0xe3ea2a78d1d81905ULL};
+
+  std::stringstream in{bytes};
+  const LenientLog log = read_log_lenient(in);
+  expect_golden(log.stats, records_digest(log.records), lenient);
+
+  const std::string path = temp_path("golden.csv");
+  write_file(path, bytes);
+  const auto opened =
+      analysis::open_source(path, {.format = "csv", .lenient = true});
+  EXPECT_EQ(opened.rows(), 8264u);
+  GoldenStats open_golden = lenient;
+  open_golden.digest = 0xc42b889de0c837d6ULL;  // rows_digest, pool ids too
+  expect_golden(opened.read_stats(), rows_digest(opened.source()),
+                open_golden);
+
+  // A tail fed the same bytes across polls that cut lines at and around
+  // the 64 KiB read size. The torn final record stays pending, so the
+  // tail sees one line (a short one) fewer than the whole-file readers.
+  const std::string spool = temp_path("golden_spool.csv");
+  std::filesystem::remove(spool);
+  analysis::SpoolTail tail{spool};
+  std::vector<LogRecord> seen;
+  std::size_t from = 0;
+  for (const std::size_t cut :
+       {std::size_t{7000}, std::size_t{65536 + 13}, std::size_t{300001},
+        std::size_t{(1 << 20) + 5}, bytes.size() - 70100, bytes.size()}) {
+    std::ofstream out{spool, std::ios::binary | std::ios::app};
+    out << bytes.substr(from, cut - from);
+    out.close();
+    from = cut;
+    tail.poll(
+        [&](const RecordView& record) { seen.push_back(record.to_record()); });
+  }
+  const GoldenStats spool_golden{8935, 8931, 8264, 3, true, false,
+                                 {0, 38, 343, 84, 50, 108, 44},
+                                 {0, 505, 89, 33, 387, 10, 46},
+                                 0xe3ea2a78d1d81905ULL};
+  expect_golden(tail.stats(), records_digest(seen), spool_golden);
+  EXPECT_EQ(tail.pending_bytes(), 194u);
+  EXPECT_EQ(tail.offset(), 1346039u);
+  std::filesystem::remove(path);
+  std::filesystem::remove(spool);
+}
+
+TEST(LineReader, CarriesLinesAcrossChunksAndFlagsTornTail) {
+  const std::string longer(LineReader::kChunkBytes + 17, 'y');
+  std::stringstream in{"a\n" + longer + "\n\nz"};
+  LineReader lines{in};
+  std::string_view line;
+  ASSERT_TRUE(lines.next(line));
+  EXPECT_EQ(line, "a");
+  ASSERT_TRUE(lines.next(line));
+  EXPECT_EQ(line, longer);
+  ASSERT_TRUE(lines.next(line));
+  EXPECT_EQ(line, "");
+  EXPECT_TRUE(lines.terminated());
+  ASSERT_TRUE(lines.next(line));
+  EXPECT_EQ(line, "z");
+  EXPECT_FALSE(lines.terminated());
+  EXPECT_EQ(lines.line_number(), 4u);
+  EXPECT_EQ(lines.consumed(), longer.size() + 5);
+  EXPECT_FALSE(lines.next(line));
+}
+
+TEST(LineReader, StopsAtTheByteLimit) {
+  std::stringstream in{"ab\ncd\nef\n"};
+  LineReader lines{in, 5};
+  std::string_view line;
+  ASSERT_TRUE(lines.next(line));
+  EXPECT_EQ(line, "ab");
+  ASSERT_TRUE(lines.next(line));
+  EXPECT_EQ(line, "cd");
+  EXPECT_FALSE(lines.terminated());
+  EXPECT_FALSE(lines.next(line));
+}
+
+/// 120 time-ordered records, some with quoted fields.
+std::string clean_log() {
+  std::string text = log_csv_header() + "\n";
+  for (int i = 0; i < 120; ++i) {
+    LogRecord record = sample_record();
+    record.time += i * 60;
+    record.url.host = "h0.example.sy";
+    record.url.host[1] = static_cast<char>('0' + i % 9);
+    if (i % 4 == 0) record.user_agent = "Mozilla/5.0 (KHTML, like Gecko)";
+    text += to_csv(record) + "\n";
+  }
+  return text;
+}
+
+std::string replace_all(std::string text, std::string_view from,
+                        std::string_view to) {
+  for (std::size_t at = text.find(from); at != std::string::npos;
+       at = text.find(from, at + to.size()))
+    text.replace(at, from.size(), to);
+  return text;
+}
+
+std::string with_blank_line_after(const std::string& text, int line) {
+  std::size_t at = 0;
+  for (int i = 0; i < line; ++i) at = text.find('\n', at) + 1;
+  return text.substr(0, at) + "\n" + text.substr(at);
+}
+
+// CRLF line ends and blank lines are accepted alike by every CSV reader:
+// strict open_source (which used to refuse both), read_log, the convert
+// loop and a spool tail.
+TEST(LogIo, CrlfAndBlankLineLogsReadAlikeEverywhere) {
+  const std::string clean = clean_log();
+  const std::string clean_path = temp_path("clean.csv");
+  write_file(clean_path, clean);
+  const auto reference = analysis::open_source(clean_path);
+  const std::uint64_t expected = rows_digest(reference.source());
+  const std::uint64_t expected_content =
+      rows_digest(reference.source(), /*with_ids=*/false);
+  std::stringstream clean_in{clean};
+  const std::uint64_t expected_records = records_digest(read_log(clean_in));
+
+  for (const auto& [name, bytes] :
+       {std::pair<std::string, std::string>{
+            "crlf", replace_all(clean, "\n", "\r\n")},
+        {"blank", with_blank_line_after(clean, 50)}}) {
+    SCOPED_TRACE(name);
+    const std::string path = temp_path(name + ".csv");
+    write_file(path, bytes);
+
+    const auto strict = analysis::open_source(path, {.format = "csv"});
+    EXPECT_EQ(rows_digest(strict.source()), expected);
+
+    std::stringstream in{bytes};
+    EXPECT_EQ(records_digest(read_log(in)), expected_records);
+
+    // syrwatchctl convert's loop: strict read into a SYRCOL1 writer.
+    const std::string col = temp_path(name + ".col");
+    {
+      std::ifstream csv{path, std::ios::binary};
+      LineReader lines{csv};
+      colfmt::Writer writer{col};
+      const StrictRead read = read_log_strict(
+          lines, [&](const RecordView& r) { writer.add(r.to_record()); });
+      EXPECT_EQ(read.status, StrictRead::Status::kOk);
+      writer.finish();
+    }
+    const auto converted = analysis::open_source(col);
+    EXPECT_EQ(rows_digest(converted.source(), false), expected_content);
+
+    analysis::StreamSource stream{path};
+    EXPECT_EQ(stream.poll(), 120u);
+    EXPECT_EQ(rows_digest(stream.source()), expected);
+    std::filesystem::remove(path);
+    std::filesystem::remove(col);
+  }
+  std::filesystem::remove(clean_path);
 }
 
 }  // namespace

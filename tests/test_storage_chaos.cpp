@@ -419,7 +419,9 @@ TEST(SpoolTailChaos, SurvivesRotationAndReportsGap) {
   write_spool(0, 3);
   analysis::SpoolTail tail{spool};
   std::vector<proxy::LogRecord> seen;
-  EXPECT_EQ(tail.poll([&](const proxy::LogRecord& r) { seen.push_back(r); }),
+  EXPECT_EQ(tail.poll([&](const proxy::RecordView& r) {
+              seen.push_back(r.to_record());
+            }),
             3u);
   EXPECT_EQ(tail.gaps(), 0u);
 
@@ -427,7 +429,9 @@ TEST(SpoolTailChaos, SurvivesRotationAndReportsGap) {
   // reopen from the top of the new file instead of wedging.
   fs::remove(spool);
   write_spool(100, 2);
-  EXPECT_EQ(tail.poll([&](const proxy::LogRecord& r) { seen.push_back(r); }),
+  EXPECT_EQ(tail.poll([&](const proxy::RecordView& r) {
+              seen.push_back(r.to_record());
+            }),
             2u);
   EXPECT_EQ(tail.gaps(), 1u);
   ASSERT_EQ(seen.size(), 5u);
@@ -435,7 +439,9 @@ TEST(SpoolTailChaos, SurvivesRotationAndReportsGap) {
 
   // In-place truncation counts too.
   write_spool(200, 1);
-  EXPECT_EQ(tail.poll([&](const proxy::LogRecord& r) { seen.push_back(r); }),
+  EXPECT_EQ(tail.poll([&](const proxy::RecordView& r) {
+              seen.push_back(r.to_record());
+            }),
             1u);
   EXPECT_EQ(tail.gaps(), 2u);
   EXPECT_EQ(proxy::to_csv(seen.back()), proxy::to_csv(make_record(200)));

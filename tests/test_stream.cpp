@@ -656,7 +656,7 @@ struct TailFixture : ::testing::Test {
 TEST_F(TailFixture, MissingFileDeliversNothing) {
   analysis::SpoolTail tail{spool()};
   std::size_t delivered = 0;
-  EXPECT_EQ(tail.poll([&](const proxy::LogRecord&) { ++delivered; }), 0u);
+  EXPECT_EQ(tail.poll([&](const proxy::RecordView&) { ++delivered; }), 0u);
   EXPECT_EQ(delivered, 0u);
   EXPECT_EQ(tail.offset(), 0u);
 }
@@ -671,15 +671,19 @@ TEST_F(TailFixture, TornTailStaysPendingUntilCompleted) {
 
   analysis::SpoolTail tail{spool()};
   std::vector<proxy::LogRecord> out;
-  EXPECT_EQ(
-      tail.poll([&](const proxy::LogRecord& r) { out.push_back(r); }), 2u);
+  EXPECT_EQ(tail.poll([&](const proxy::RecordView& r) {
+              out.push_back(r.to_record());
+            }),
+            2u);
   EXPECT_EQ(tail.pending_bytes(), 10u);
   EXPECT_EQ(tail.offset(), header.size() + line0.size() + line1.size());
 
   // Completing the torn line delivers exactly the third record.
   append(line2.substr(10));
-  EXPECT_EQ(
-      tail.poll([&](const proxy::LogRecord& r) { out.push_back(r); }), 1u);
+  EXPECT_EQ(tail.poll([&](const proxy::RecordView& r) {
+              out.push_back(r.to_record());
+            }),
+            1u);
   EXPECT_EQ(tail.pending_bytes(), 0u);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(proxy::to_csv(out[2]), proxy::to_csv(records[2]));
@@ -691,7 +695,7 @@ TEST_F(TailFixture, MalformedLinesSkippedAndTallied) {
          "\nthis is not a record\n" + proxy::to_csv(records[1]) + "\n");
   analysis::SpoolTail tail{spool()};
   std::size_t delivered = 0;
-  tail.poll([&](const proxy::LogRecord&) { ++delivered; });
+  tail.poll([&](const proxy::RecordView&) { ++delivered; });
   EXPECT_EQ(delivered, 2u);
   EXPECT_EQ(tail.stats().skipped_total(), 1u);
 }
@@ -747,7 +751,7 @@ TEST_F(TailFixture, ResumeMidSpoolIsByteIdenticalToColdTail) {
 TEST_F(TailFixture, ResumeAfterFirstPollThrows) {
   append(proxy::log_csv_header() + "\n");
   analysis::SpoolTail tail{spool()};
-  tail.poll([](const proxy::LogRecord&) {});
+  tail.poll([](const proxy::RecordView&) {});
   EXPECT_THROW(tail.resume_at(0), std::logic_error);
 }
 

@@ -144,6 +144,26 @@ TEST(StringPool, ViewOutOfRangeThrows) {
   EXPECT_THROW(pool.view(42), std::out_of_range);
 }
 
+TEST(StringPool, IdsStayDenseInFirstSeenOrderAcrossGrowth) {
+  StringPool pool;
+  for (StringPool::Id i = 1; i <= 5000; ++i)
+    EXPECT_EQ(pool.intern(std::to_string(i) + "x"), i);
+  for (StringPool::Id i = 1; i <= 5000; ++i) {
+    EXPECT_EQ(pool.lookup(std::to_string(i) + "x"), i);
+    EXPECT_EQ(pool.intern(std::to_string(i) + "x"), i);
+  }
+  // Embedded NULs are bytes like any other; an oversized string gets a
+  // block of its own.
+  EXPECT_EQ(pool.intern(std::string_view{"a\0b", 3}), 5001u);
+  EXPECT_EQ(pool.intern("a"), 5002u);
+  const std::string huge(100000, 'z');
+  EXPECT_EQ(pool.intern(huge), 5003u);
+  EXPECT_EQ(pool.view(5003), huge);
+  EXPECT_EQ(pool.view(5001), std::string_view("a\0b", 3));
+  EXPECT_EQ(pool.size(), 5004u);
+  EXPECT_THROW(pool.view(5004), std::out_of_range);
+}
+
 // --- TextTable ---------------------------------------------------------------
 
 TEST(TextTable, RendersAlignedColumns) {

@@ -35,6 +35,14 @@
 #
 #   tools/ci-sanitize.sh 'scan_identity|stream|dataset|parallel|core'
 #
+# Every CSV read decodes zero-copy (string views into a chunked line
+# buffer, quoted fields unescaped into a scratch buffer) and interns into
+# the flat open-addressing StringPool; the decoder golden test, the
+# string and fault tests, the spool tail and the identity suites are its
+# memory and race check:
+#
+#   tools/ci-sanitize.sh 'log_io|strings|stream|storage_chaos|fault|scan_identity|dataset'
+#
 # Build trees live in build-tsan/ and build-asan/ next to the source tree,
 # so a regular build/ directory is left untouched.
 

@@ -819,47 +819,41 @@ int cmd_convert(int argc, char** argv) {
     info = out.commit();
   } else {
     direction = "csv -> col";
-    std::ifstream in{in_path};
+    std::ifstream in{in_path, std::ios::binary};
     if (!in) {
       std::fprintf(stderr, "cannot open %s\n", in_path.c_str());
-      return 1;
-    }
-    std::string line;
-    if (!std::getline(in, line)) {
-      std::fprintf(stderr, "syrwatchctl convert: %s is empty\n",
-                   in_path.c_str());
-      return 1;
-    }
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line != proxy::log_csv_header()) {
-      std::fprintf(stderr, "syrwatchctl convert: %s: not a syrwatch log "
-                           "(bad csv header)\n",
-                   in_path.c_str());
       return 1;
     }
     colfmt::WriterOptions options;
     options.block_rows = static_cast<std::size_t>(
         flags.get_u64("--block-rows", options.block_rows));
     colfmt::Writer writer{out_path, options};
-    std::uint64_t line_no = 1;
-    while (std::getline(in, line)) {
-      ++line_no;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      proxy::ParseDiagnosis diagnosis;
-      const auto record = proxy::from_csv(line, &diagnosis);
-      if (!record) {
-        writer.abandon();
-        std::fprintf(stderr,
-                     "syrwatchctl convert: %s line %llu: %s — conversion "
-                     "must be lossless, refusing to drop the row\n",
-                     in_path.c_str(),
-                     static_cast<unsigned long long>(line_no),
-                     std::string(proxy::to_string(diagnosis.error)).c_str());
-        return 1;
-      }
-      writer.add(*record);
-      ++rows;
+    proxy::LineReader lines{in};
+    const proxy::StrictRead result = proxy::read_log_strict(
+        lines, [&writer](const proxy::RecordView& record) {
+          writer.add(record.to_record());
+        });
+    rows = result.records;
+    if (result.status == proxy::StrictRead::Status::kBadHeader) {
+      writer.abandon();
+      if (result.line_number == 0)
+        std::fprintf(stderr, "syrwatchctl convert: %s is empty\n",
+                     in_path.c_str());
+      else
+        std::fprintf(stderr, "syrwatchctl convert: %s: not a syrwatch log "
+                             "(bad csv header)\n",
+                     in_path.c_str());
+      return 1;
+    }
+    if (result.status == proxy::StrictRead::Status::kBadRecord) {
+      writer.abandon();
+      std::fprintf(
+          stderr,
+          "syrwatchctl convert: %s line %llu: %s — conversion must be "
+          "lossless, refusing to drop the row\n",
+          in_path.c_str(), static_cast<unsigned long long>(result.line_number),
+          std::string(proxy::to_string(result.diagnosis.error)).c_str());
+      return 1;
     }
     info = writer.finish();
   }
