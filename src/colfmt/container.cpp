@@ -4,7 +4,6 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "colfmt/varint.h"
@@ -254,10 +253,6 @@ bool file_looks_like_container(const std::string& path) {
 // ---------------------------------------------------------------------------
 // Writer
 
-struct Writer::DictIndex {
-  std::unordered_map<std::string, std::uint32_t> ids;
-};
-
 struct Writer::BlockBuilder {
   std::array<std::string, kPageCount> pages;
   std::uint32_t rows = 0;
@@ -268,8 +263,7 @@ struct Writer::BlockBuilder {
 Writer::Writer(std::string path, WriterOptions options)
     : out_(std::make_unique<util::AtomicFileWriter>(std::move(path),
                                                     options.vfs)),
-      options_(options),
-      dict_(std::make_unique<DictIndex>()) {
+      options_(options) {
   if (options_.block_rows == 0)
     throw std::invalid_argument("colfmt: block_rows must be positive");
   out_->write(kMagic);
@@ -277,24 +271,25 @@ Writer::Writer(std::string path, WriterOptions options)
 
 Writer::~Writer() = default;
 
-void Writer::add(const proxy::LogRecord& record) {
+void Writer::add(const proxy::RecordView& record) {
   if (finished_) throw std::logic_error("colfmt: add() after finish()");
   if (record.proxy_index > kMaxProxyIndex)
     throw std::invalid_argument("colfmt: proxy index out of range");
   if (!block_) block_ = std::make_unique<BlockBuilder>();
   BlockBuilder& b = *block_;
 
-  const auto intern = [&](const std::string& text) -> std::uint32_t {
-    if (text.empty()) return 0;
-    const auto it = dict_->ids.find(text);
-    if (it != dict_->ids.end()) return it->second;
-    if (dict_count_ > 0xFFFFFFFFull)
+  const auto intern = [&](std::string_view text) -> std::uint32_t {
+    const std::size_t known = dict_.size();
+    // Every 32-bit id but the pool's kNotFound sentinel is spoken for.
+    if (known == util::StringPool::kNotFound &&
+        dict_.lookup(text) == util::StringPool::kNotFound)
       throw std::runtime_error("colfmt: dictionary overflow");
-    const auto id = static_cast<std::uint32_t>(dict_count_++);
-    dict_->ids.emplace(text, id);
-    put_varint(b.pages[kPageDict], text.size());
-    b.pages[kPageDict].append(text);
-    ++b.dict_new;
+    const std::uint32_t id = dict_.intern(text);
+    if (dict_.size() != known) {
+      put_varint(b.pages[kPageDict], text.size());
+      b.pages[kPageDict].append(text);
+      ++b.dict_new;
+    }
     return id;
   };
 
@@ -308,11 +303,11 @@ void Writer::add(const proxy::LogRecord& record) {
   put_varint(b.pages[kPageUserHash], record.user_hash);
   put_varint(b.pages[kPageMethod], intern(record.method));
   b.pages[kPageScheme].push_back(
-      static_cast<char>(static_cast<std::uint8_t>(record.url.scheme)));
-  put_varint(b.pages[kPageHost], intern(record.url.host));
-  put_varint(b.pages[kPagePort], record.url.port);
-  put_varint(b.pages[kPagePath], intern(record.url.path));
-  put_varint(b.pages[kPageQuery], intern(record.url.query));
+      static_cast<char>(static_cast<std::uint8_t>(record.scheme)));
+  put_varint(b.pages[kPageHost], intern(record.host));
+  put_varint(b.pages[kPagePort], record.port);
+  put_varint(b.pages[kPagePath], intern(record.path));
+  put_varint(b.pages[kPageQuery], intern(record.query));
   put_varint(b.pages[kPageAgent], intern(record.user_agent));
   put_varint(b.pages[kPageCategories], intern(record.categories));
   put_varint(b.pages[kPageStatus], record.status);
@@ -326,6 +321,10 @@ void Writer::add(const proxy::LogRecord& record) {
   ++b.rows;
   ++rows_;
   if (b.rows >= options_.block_rows) flush_block();
+}
+
+void Writer::add(const proxy::LogRecord& record) {
+  add(proxy::RecordView{record});
 }
 
 void Writer::flush_block() {
@@ -366,7 +365,7 @@ util::ArtifactInfo Writer::finish() {
   put_u64(footer, index_offset);
   put_u64(footer, block_count_);
   put_u64(footer, rows_);
-  put_u64(footer, dict_count_);
+  put_u64(footer, dict_.size());
   put_u64(footer, util::crc32_of(index_));
   put_u64(footer, kVersion);
   put_u32(footer, util::crc32_of(footer));
@@ -620,25 +619,30 @@ DecodedBlock Reader::decode(std::size_t block_index) const {
   return block;
 }
 
-proxy::LogRecord Reader::record(const DecodedBlock& block,
-                                std::size_t row) const {
-  proxy::LogRecord r;
+proxy::RecordView Reader::record_view(const DecodedBlock& block,
+                                      std::size_t row) const {
+  proxy::RecordView r;
   r.time = block.time.at(row);
   r.proxy_index = block.proxy_index[row];
   r.user_hash = block.user_hash[row];
-  r.user_agent = std::string(view(block.agent[row]));
-  r.method = std::string(view(block.method[row]));
-  r.url.scheme = static_cast<net::Scheme>(block.scheme[row]);
-  r.url.host = std::string(view(block.host[row]));
-  r.url.port = block.port[row];
-  r.url.path = std::string(view(block.path[row]));
-  r.url.query = std::string(view(block.query[row]));
-  r.categories = std::string(view(block.categories[row]));
+  r.user_agent = view(block.agent[row]);
+  r.method = view(block.method[row]);
+  r.scheme = static_cast<net::Scheme>(block.scheme[row]);
+  r.host = view(block.host[row]);
+  r.port = block.port[row];
+  r.path = view(block.path[row]);
+  r.query = view(block.query[row]);
+  r.categories = view(block.categories[row]);
   r.filter_result = static_cast<proxy::FilterResult>(block.filter_result[row]);
   r.exception = static_cast<proxy::ExceptionId>(block.exception[row]);
   r.status = block.status[row];
   if (block.has_dest[row]) r.dest_ip = net::Ipv4Addr(block.dest_ip[row]);
   return r;
+}
+
+proxy::LogRecord Reader::record(const DecodedBlock& block,
+                                std::size_t row) const {
+  return record_view(block, row).to_record();
 }
 
 // ---------------------------------------------------------------------------

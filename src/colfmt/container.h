@@ -7,9 +7,11 @@
 #include <string_view>
 #include <vector>
 
+#include "proxy/log_io.h"
 #include "proxy/log_record.h"
 #include "util/atomic_io.h"
 #include "util/mmap_file.h"
+#include "util/string_pool.h"
 
 namespace syrwatch::colfmt {
 
@@ -107,6 +109,9 @@ class Writer {
   Writer(const Writer&) = delete;
   Writer& operator=(const Writer&) = delete;
 
+  /// Appends one row; the record's views are copied into the page
+  /// buffers and the dictionary before add() returns.
+  void add(const proxy::RecordView& record);
   void add(const proxy::LogRecord& record);
 
   /// Flushes the tail block, writes index + footer, commits the file.
@@ -125,14 +130,10 @@ class Writer {
   std::unique_ptr<util::AtomicFileWriter> out_;
   std::unique_ptr<BlockBuilder> block_;
   WriterOptions options_;
-  // Dictionary: string → id, id order = first sight across the file.
-  // (A std::vector of map iterators would dangle; a util::StringPool is
-  // overkill here because the writer never reads strings back — it only
-  // needs the forward map and the pending delta list.)
-  std::vector<std::string> pending_dict_;  // strings not yet flushed
-  struct DictIndex;
-  std::unique_ptr<DictIndex> dict_;
-  std::uint64_t dict_count_ = 1;  // id 0 = "" is implicit, never written
+  // Dictionary: a pool id is the container's dictionary id — dense, in
+  // first-seen order across the file, with 0 = "" implicit and never
+  // written.
+  util::StringPool dict_;
   std::uint64_t rows_ = 0;
   std::string index_;  // accumulated index entries
   std::uint64_t block_count_ = 0;
@@ -222,8 +223,12 @@ class Reader {
   /// threads concurrently — the reader is immutable after open.
   DecodedBlock decode(std::size_t block_index) const;
 
-  /// Reassembles one row as a LogRecord (the CSV writer's input shape) —
-  /// the conversion path of `syrwatchctl convert`.
+  /// One row as views into the mapping (the CSV encoder's input shape) —
+  /// the conversion path of `syrwatchctl convert`. Valid as long as the
+  /// Reader.
+  proxy::RecordView record_view(const DecodedBlock& block,
+                                std::size_t row) const;
+  /// record_view as an owning LogRecord.
   proxy::LogRecord record(const DecodedBlock& block, std::size_t row) const;
 
  private:

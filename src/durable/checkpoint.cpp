@@ -510,7 +510,7 @@ CheckpointedRun run_checkpointed(workload::SyriaScenario& scenario,
 
   const workload::LogCallback buffering_sink =
       [&](const proxy::LogRecord& record) {
-        batch_text += proxy::to_csv(record);
+        proxy::append_csv(batch_text, proxy::RecordView{record});
         batch_text += '\n';
         sink(record);
       };

@@ -29,12 +29,16 @@ std::uint16_t default_port(Scheme scheme) noexcept {
   return 0;
 }
 
-std::string Url::extension() const {
+std::string_view path_extension(std::string_view path) noexcept {
   const auto slash = path.rfind('/');
   const auto dot = path.rfind('.');
-  if (dot == std::string::npos) return {};
-  if (slash != std::string::npos && dot < slash) return {};
+  if (dot == std::string_view::npos) return {};
+  if (slash != std::string_view::npos && dot < slash) return {};
   return path.substr(dot + 1);
+}
+
+std::string Url::extension() const {
+  return std::string(path_extension(path));
 }
 
 std::string Url::to_string() const {

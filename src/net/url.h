@@ -18,6 +18,10 @@ std::optional<Scheme> parse_scheme(std::string_view text) noexcept;
 /// Default port for a scheme (http 80, https 443, tcp 0 = caller-supplied).
 std::uint16_t default_port(Scheme scheme) noexcept;
 
+/// The cs-uri-ext of a path: what follows the last '.' of its last
+/// segment ("php", "flv", ...); empty when there is none.
+std::string_view path_extension(std::string_view path) noexcept;
+
 /// Decomposed URL mirroring the Blue Coat log schema: the proxies log
 /// cs-host, cs-uri-scheme, cs-uri-port, cs-uri-path, cs-uri-query and
 /// cs-uri-ext as separate fields, and the censorship policy matches against

@@ -1,6 +1,7 @@
 #include "proxy/log_io.h"
 
 #include <charconv>
+#include <cstdio>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -15,8 +16,25 @@ namespace {
 
 constexpr std::size_t kColumnCount = 17;
 
-std::string field_or_dash(std::string_view value) {
-  return value.empty() ? "-" : std::string(value);
+void append_field_or_dash(std::string& out, std::string_view value) {
+  if (value.empty())
+    out.push_back('-');
+  else
+    util::append_csv_field(out, value);
+}
+
+void append_u64(std::string& out, std::uint64_t value) {
+  char buf[20];
+  const auto end = std::to_chars(buf, buf + sizeof buf, value).ptr;
+  out.append(buf, end);
+}
+
+/// Writes `value` (0 <= value < 10^width) as exactly `width` digits.
+void put_digits(char* at, int value, int width) {
+  for (int i = width - 1; i >= 0; --i) {
+    at[i] = static_cast<char>('0' + value % 10);
+    value /= 10;
+  }
 }
 
 std::string_view dash_to_empty(std::string_view value) {
@@ -180,38 +198,83 @@ std::string log_csv_header() {
          "sc-status,sc-filter-result,x-exception-id,r-ip";
 }
 
-std::string to_csv(const LogRecord& record) {
+void append_csv(std::string& out, const RecordView& record) {
+  char buf[24];
   const util::CivilDateTime c = util::to_civil(record.time);
-  char date[16], clock[16], chash[24];
-  std::snprintf(date, sizeof date, "%04d-%02d-%02d", c.year, c.month, c.day);
-  std::snprintf(clock, sizeof clock, "%02d:%02d:%02d", c.hour, c.minute,
-                c.second);
-  if (record.user_hash == 0) {
-    std::snprintf(chash, sizeof chash, "0.0.0.0");
+  if (c.year >= 0 && c.year <= 9999) {
+    put_digits(buf, c.year, 4);
+    buf[4] = '-';
+    put_digits(buf + 5, c.month, 2);
+    buf[7] = '-';
+    put_digits(buf + 8, c.day, 2);
+    out.append(buf, 10);
   } else {
-    std::snprintf(chash, sizeof chash, "%016llx",
-                  static_cast<unsigned long long>(record.user_hash));
+    // Years outside the four-digit range keep the printf rendering, down
+    // to its truncation at 15 characters.
+    char date[16];
+    std::snprintf(date, sizeof date, "%04d-%02d-%02d", c.year, c.month,
+                  c.day);
+    out.append(date);
   }
-  const std::vector<std::string> fields = {
-      date,
-      clock,
-      record.proxy_address().to_string(),
-      chash,
-      record.method,
-      std::string(net::to_string(record.url.scheme)),
-      record.url.host,
-      std::to_string(record.url.port),
-      field_or_dash(record.url.path),
-      field_or_dash(record.url.query),
-      field_or_dash(record.url.extension()),
-      field_or_dash(record.user_agent),
-      field_or_dash(record.categories),
-      std::to_string(record.status),
-      std::string(to_string(record.filter_result)),
-      std::string(to_string(record.exception)),
-      record.dest_ip ? record.dest_ip->to_string() : "-",
-  };
-  return util::csv_join(fields);
+  buf[0] = ',';
+  put_digits(buf + 1, c.hour, 2);
+  buf[3] = ':';
+  put_digits(buf + 4, c.minute, 2);
+  buf[6] = ':';
+  put_digits(buf + 7, c.second, 2);
+  buf[9] = ',';
+  out.append(buf, 10);
+
+  out.append("82.137.200.");
+  append_u64(out, static_cast<std::uint8_t>(42 + record.proxy_index));
+  out.push_back(',');
+  if (record.user_hash == 0) {
+    out.append("0.0.0.0");
+  } else {
+    constexpr char kHex[] = "0123456789abcdef";
+    for (int i = 0; i < 16; ++i)
+      buf[i] = kHex[(record.user_hash >> (60 - 4 * i)) & 0xF];
+    out.append(buf, 16);
+  }
+  out.push_back(',');
+  util::append_csv_field(out, record.method);
+  out.push_back(',');
+  out.append(net::to_string(record.scheme));
+  out.push_back(',');
+  util::append_csv_field(out, record.host);
+  out.push_back(',');
+  append_u64(out, record.port);
+  out.push_back(',');
+  append_field_or_dash(out, record.path);
+  out.push_back(',');
+  append_field_or_dash(out, record.query);
+  out.push_back(',');
+  append_field_or_dash(out, net::path_extension(record.path));
+  out.push_back(',');
+  append_field_or_dash(out, record.user_agent);
+  out.push_back(',');
+  append_field_or_dash(out, record.categories);
+  out.push_back(',');
+  append_u64(out, record.status);
+  out.push_back(',');
+  out.append(to_string(record.filter_result));
+  out.push_back(',');
+  out.append(to_string(record.exception));
+  out.push_back(',');
+  if (record.dest_ip) {
+    for (int i = 0; i < 4; ++i) {
+      if (i != 0) out.push_back('.');
+      append_u64(out, record.dest_ip->octet(i));
+    }
+  } else {
+    out.push_back('-');
+  }
+}
+
+std::string to_csv(const LogRecord& record) {
+  std::string line;
+  append_csv(line, RecordView{record});
+  return line;
 }
 
 RecordView::RecordView(const LogRecord& record)
@@ -360,8 +423,12 @@ StrictRead read_log_strict(LineReader& lines, const RecordSink& sink) {
 
 void write_log(std::ostream& out, const std::vector<LogRecord>& records) {
   out << log_csv_header() << '\n';
+  std::string line;
   for (const LogRecord& record : records) {
-    out << to_csv(record) << '\n';
+    line.clear();
+    append_csv(line, RecordView{record});
+    line += '\n';
+    out.write(line.data(), static_cast<std::streamsize>(line.size()));
     if (!out) throw std::runtime_error("write_log: stream write failed");
   }
   out.flush();
@@ -373,9 +440,12 @@ util::ArtifactInfo write_log_file(const std::string& path,
   util::AtomicFileWriter writer{path};
   writer.write(log_csv_header());
   writer.write("\n");
+  std::string line;
   for (const LogRecord& record : records) {
-    writer.write(to_csv(record));
-    writer.write("\n");
+    line.clear();
+    append_csv(line, RecordView{record});
+    line += '\n';
+    writer.write(line);
   }
   return writer.commit();
 }

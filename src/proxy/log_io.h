@@ -22,8 +22,6 @@ namespace syrwatch::proxy {
 /// "date,time,s-ip,c-ip,cs-method,cs-host,..." header line.
 std::string log_csv_header();
 
-/// Renders one record as a CSV line (no trailing newline).
-std::string to_csv(const LogRecord& record);
 
 /// Why a line failed to parse. kNone means it parsed.
 enum class ParseError : std::uint8_t {
@@ -77,7 +75,16 @@ struct RecordView {
   LogRecord to_record() const;
 };
 
-/// Decodes a line produced by to_csv into `record` (views of `line` and
+/// Appends one record's CSV line (no trailing newline) to `out`: the
+/// encoder every CSV writer shares. Fields are formatted and escaped in
+/// place, so a caller that reuses `out` allocates nothing per record.
+/// cs-uri-ext is net::path_extension of the path.
+void append_csv(std::string& out, const RecordView& record);
+
+/// append_csv of `record` into a fresh string.
+std::string to_csv(const LogRecord& record);
+
+/// Decodes a line produced by append_csv into `record` (views of `line` and
 /// `scratch`). Rejects wrong column counts, bad enums, bad timestamps and
 /// out-of-range civil date fields; the diagnosis names the reason (kNone
 /// when `record` holds the line). Quoting errors are reported left to

@@ -2,16 +2,31 @@
 
 namespace syrwatch::util {
 
-std::string csv_escape(std::string_view field) {
-  const bool needs_quotes =
-      field.find_first_of(",\"\n\r") != std::string_view::npos;
-  if (!needs_quotes) return std::string(field);
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += "\"\"";
-    else out.push_back(c);
+void append_csv_field(std::string& out, std::string_view field) {
+  bool needs_quotes = false;
+  for (const char c : field) {
+    if (c == ',' || c == '"' || c == '\n' || c == '\r') {
+      needs_quotes = true;
+      break;
+    }
+  }
+  if (!needs_quotes) {
+    out.append(field);
+    return;
   }
   out.push_back('"');
+  for (std::size_t quote; (quote = field.find('"')) != field.npos;) {
+    out.append(field.substr(0, quote + 1));
+    out.push_back('"');
+    field.remove_prefix(quote + 1);
+  }
+  out.append(field);
+  out.push_back('"');
+}
+
+std::string csv_escape(std::string_view field) {
+  std::string out;
+  append_csv_field(out, field);
   return out;
 }
 
@@ -19,7 +34,7 @@ std::string csv_join(const std::vector<std::string>& fields) {
   std::string out;
   for (std::size_t i = 0; i < fields.size(); ++i) {
     if (i != 0) out.push_back(',');
-    out += csv_escape(fields[i]);
+    append_csv_field(out, fields[i]);
   }
   return out;
 }

@@ -14,7 +14,11 @@ namespace syrwatch::util {
 /// Blue Coat logs were comma-separated; fields containing commas, quotes or
 /// newlines are quoted, quotes are doubled.
 
-/// Escapes a single field if needed.
+/// Appends `field` to `out`, quoted when it holds a comma, quote, CR or
+/// LF, with its quotes doubled — in place, without a temporary string.
+void append_csv_field(std::string& out, std::string_view field);
+
+/// append_csv_field into a fresh string.
 std::string csv_escape(std::string_view field);
 
 /// Joins fields into one CSV line (no trailing newline).

@@ -65,6 +65,8 @@ std::size_t StringPool::find_slot(std::string_view s,
 }
 
 StringPool::Id StringPool::intern(std::string_view s) {
+  // Most rows leave path, query or agent empty; id 0 needs no probe.
+  if (s.empty()) return kEmpty;
   const std::uint64_t hash = hash_bytes(s);
   std::size_t i = find_slot(s, hash);
   if (slots_[i].id != kNotFound) return slots_[i].id;

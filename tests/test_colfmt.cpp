@@ -274,6 +274,42 @@ TEST(ColfmtWriter, RejectsInvalidProxyIndex) {
   writer.abandon();
 }
 
+TEST(ColfmtWriter, RecordViewAndLogRecordWriteTheSameBytes) {
+  TempDir dir{"viewadd"};
+  const auto relays = tor::RelayDirectory::synthesize(40, 99);
+  auto records = varied_records(3000, relays);
+  records[5].method.clear();  // empty strings take dictionary id 0
+  records[6].url.host.clear();
+  const auto from_records =
+      write_container(dir.file("records.col"), records, 256);
+  {
+    colfmt::WriterOptions options;
+    options.block_rows = 256;
+    colfmt::Writer writer{dir.file("views.col"), options};
+    for (const auto& record : records) writer.add(proxy::RecordView{record});
+    writer.finish();
+  }
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in{path, std::ios::binary};
+    return std::string{std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>()};
+  };
+  EXPECT_EQ(slurp(dir.file("views.col")), slurp(from_records));
+
+  // record_view() hands the rows back as views that encode the same CSV.
+  const auto reader = colfmt::Reader::open(from_records);
+  std::size_t i = 0;
+  for (std::size_t b = 0; b < reader.block_count(); ++b) {
+    const auto block = reader.decode(b);
+    for (std::size_t r = 0; r < block.rows; ++r, ++i) {
+      std::string line;
+      proxy::append_csv(line, reader.record_view(block, r));
+      ASSERT_EQ(line, proxy::to_csv(records[i])) << "row " << i;
+    }
+  }
+  EXPECT_EQ(i, records.size());
+}
+
 // --- verification and damage ----------------------------------------------
 
 TEST(ColfmtVerify, IntactContainerPasses) {

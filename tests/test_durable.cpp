@@ -8,10 +8,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "colfmt/container.h"
 #include "core/study.h"
 #include "durable/checkpoint.h"
 #include "durable/manifest.h"
@@ -728,6 +730,59 @@ TEST(StudyCheckpoint, CancelledSimulateReportsInterrupted) {
   options.cancel = &token;
   EXPECT_EQ(study.simulate(options), core::SimulateStatus::kInterrupted);
   EXPECT_THROW(study.build_datasets(), std::logic_error);
+}
+
+// --- write path golden -------------------------------------------------------
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+// FNV-1a digests of a seeded scenario's CSV log, written by write_log and
+// by the checkpoint spool, and of its SYRCOL1 container. Captured from the
+// vector-of-strings CSV encoder and the std::unordered_map container
+// dictionary that the in-place encoder and the StringPool dictionary
+// replaced.
+TEST(WritePathGolden, ScenarioBytesMatchTheReferenceWriters) {
+  constexpr std::uint64_t kCsvDigest = 0x2113c2d9669d8a14ULL;
+  constexpr std::uint64_t kColDigest = 0x5fdf147723fc7346ULL;
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    workload::ScenarioConfig config = small_config(60'000, threads);
+    config.seed = 7;
+    std::vector<proxy::LogRecord> records;
+    {
+      workload::SyriaScenario scenario{config};
+      scenario.run(
+          [&](const proxy::LogRecord& record) { records.push_back(record); });
+    }
+    EXPECT_EQ(records.size(), 42'021u);
+    std::ostringstream csv;
+    proxy::write_log(csv, records);
+    EXPECT_EQ(fnv1a(csv.str()), kCsvDigest);
+
+    TempDir dir{"write_golden"};
+    colfmt::WriterOptions options;
+    options.block_rows = 4096;  // several blocks, each with a dict delta
+    colfmt::Writer writer{(dir.path / "log.col").string(), options};
+    for (const proxy::LogRecord& record : records) writer.add(record);
+    writer.finish();
+    EXPECT_EQ(fnv1a(slurp(dir.path / "log.col")), kColDigest);
+
+    workload::SyriaScenario scenario{config};
+    durable::CheckpointOptions checkpoint;
+    checkpoint.directory = (dir.path / "ckpt").string();
+    checkpoint.commit_interval = 8;
+    ASSERT_TRUE(durable::run_checkpointed(scenario, checkpoint,
+                                          [](const proxy::LogRecord&) {})
+                    .completed);
+    EXPECT_EQ(fnv1a(slurp(dir.path / "ckpt" / "log_spool.csv")), kCsvDigest);
+  }
 }
 
 }  // namespace

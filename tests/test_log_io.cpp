@@ -617,7 +617,7 @@ TEST(LogIo, CrlfAndBlankLineLogsReadAlikeEverywhere) {
       LineReader lines{csv};
       colfmt::Writer writer{col};
       const StrictRead read = read_log_strict(
-          lines, [&](const RecordView& r) { writer.add(r.to_record()); });
+          lines, [&](const RecordView& r) { writer.add(r); });
       EXPECT_EQ(read.status, StrictRead::Status::kOk);
       writer.finish();
     }
@@ -631,6 +631,185 @@ TEST(LogIo, CrlfAndBlankLineLogsReadAlikeEverywhere) {
     std::filesystem::remove(col);
   }
   std::filesystem::remove(clean_path);
+}
+
+// --- CSV encoder -------------------------------------------------------------
+
+/// Records at the edges of every field the CSV encoder formats by hand or
+/// escapes: quoting in each free-text field, empty fields, extreme hashes,
+/// ports and statuses, absent and present r-ip, years outside 0–9999 and
+/// negative times, and each cs-uri-ext rule.
+std::vector<LogRecord> edge_records() {
+  const auto base = [] {
+    LogRecord r;
+    r.time = util::to_unix_seconds({2011, 8, 3, 8, 15, 30});
+    r.proxy_index = 2;
+    r.user_hash = 0xDEADBEEF12345678ULL;
+    r.user_agent = "Mozilla/4.0";
+    r.method = "GET";
+    r.url.host = "www.example.com";
+    r.url.path = "/index.html";
+    r.url.query = "a=1";
+    r.categories = "unavailable";
+    return r;
+  };
+  std::vector<LogRecord> out;
+  out.push_back(base());
+  {
+    LogRecord r = base();  // every free-text field needs quoting
+    r.user_agent = "Mozilla/5.0 (X11, Linux) \"quoted\"\r\nnext";
+    r.method = "GE,T";
+    r.url.host = "h\"ost";
+    r.url.path = "/a,b/\"c\".php";
+    r.url.query = "q=1,2&s=\"x\"\r";
+    r.categories = "News, \"Media\"\n";
+    out.push_back(r);
+  }
+  {
+    LogRecord r = base();  // empty fields: '-' except method and host
+    r.method.clear();
+    r.url.host.clear();
+    r.url.path.clear();
+    r.url.query.clear();
+    r.user_agent.clear();
+    r.categories.clear();
+    out.push_back(r);
+  }
+  {
+    LogRecord r = base();
+    r.user_hash = 0;
+    r.url.port = 0;
+    r.status = 0;
+    r.proxy_index = 0;
+    r.dest_ip = net::Ipv4Addr{0u};
+    out.push_back(r);
+  }
+  {
+    LogRecord r = base();
+    r.user_hash = ~std::uint64_t{0};
+    r.url.port = 65535;
+    r.status = 65535;
+    r.proxy_index = 6;
+    r.url.scheme = net::Scheme::kHttps;
+    r.filter_result = FilterResult::kDenied;
+    r.exception = ExceptionId::kPolicyDenied;
+    r.dest_ip = net::Ipv4Addr{255, 255, 255, 255};
+    out.push_back(r);
+  }
+  {
+    LogRecord r = base();
+    r.user_hash = 1;
+    r.url.scheme = net::Scheme::kTcp;
+    r.url.port = 9001;
+    r.filter_result = FilterResult::kProxied;
+    r.exception = ExceptionId::kTcpError;
+    r.status = 503;
+    r.dest_ip = net::Ipv4Addr{10, 0, 0, 1};
+    out.push_back(r);
+  }
+  for (const std::int64_t time : {
+           util::to_unix_seconds({999, 12, 31, 23, 59, 59}),
+           util::to_unix_seconds({5, 1, 2, 3, 4, 5}),
+           util::to_unix_seconds({0, 2, 29, 0, 0, 0}),
+           util::to_unix_seconds({9999, 12, 31, 23, 59, 59}),
+           util::to_unix_seconds({10000, 1, 1, 0, 0, 0}),
+           std::int64_t{1'000'000'000'000'000},
+           std::int64_t{-1},
+           util::to_unix_seconds({-1, 6, 15, 12, 0, 0}),
+           util::to_unix_seconds({-12345, 1, 1, 0, 0, 0}),
+           util::to_unix_seconds({-1'000'000'000, 1, 1, 0, 0, 0}),
+       }) {
+    LogRecord r = base();
+    r.time = time;
+    out.push_back(r);
+  }
+  for (const char* path : {"/dir.v2/readme", "/file.", "/archive.tar.gz",
+                           "noslash.txt", "/.hidden", "/a/b.c\"d,e", "/",
+                           "-"}) {
+    LogRecord r = base();
+    r.url.path = path;
+    out.push_back(r);
+  }
+  return out;
+}
+
+// Each edge record's line as the printf/vector-of-strings encoder that
+// append_csv replaced rendered it, byte for byte.
+const std::vector<std::string> kEdgeLines = {
+      "2011-08-03,08:15:30,82.137.200.44,deadbeef12345678,GET,http,www.example.com,80,/index.html,a=1,html,Mozilla/4.0,unavailable,200,OBSERVED,-,-",
+      "2011-08-03,08:15:30,82.137.200.44,deadbeef12345678,\"GE,T\",http,\"h\"\"ost\",80,\"/a,b/\"\"c\"\".php\",\"q=1,2&s=\"\"x\"\"\r\",php,\"Mozilla/5.0 (X11, Linux) \"\"quoted\"\"\r\nnext\",\"News, \"\"Media\"\"\n\",200,OBSERVED,-,-",
+      "2011-08-03,08:15:30,82.137.200.44,deadbeef12345678,,http,,80,-,-,-,-,-,200,OBSERVED,-,-",
+      "2011-08-03,08:15:30,82.137.200.42,0.0.0.0,GET,http,www.example.com,0,/index.html,a=1,html,Mozilla/4.0,unavailable,0,OBSERVED,-,0.0.0.0",
+      "2011-08-03,08:15:30,82.137.200.48,ffffffffffffffff,GET,https,www.example.com,65535,/index.html,a=1,html,Mozilla/4.0,unavailable,65535,DENIED,policy_denied,255.255.255.255",
+      "2011-08-03,08:15:30,82.137.200.44,0000000000000001,GET,tcp,www.example.com,9001,/index.html,a=1,html,Mozilla/4.0,unavailable,503,PROXIED,tcp_error,10.0.0.1",
+      "0999-12-31,23:59:59,82.137.200.44,deadbeef12345678,GET,http,www.example.com,80,/index.html,a=1,html,Mozilla/4.0,unavailable,200,OBSERVED,-,-",
+      "0005-01-02,03:04:05,82.137.200.44,deadbeef12345678,GET,http,www.example.com,80,/index.html,a=1,html,Mozilla/4.0,unavailable,200,OBSERVED,-,-",
+      "0000-02-29,00:00:00,82.137.200.44,deadbeef12345678,GET,http,www.example.com,80,/index.html,a=1,html,Mozilla/4.0,unavailable,200,OBSERVED,-,-",
+      "9999-12-31,23:59:59,82.137.200.44,deadbeef12345678,GET,http,www.example.com,80,/index.html,a=1,html,Mozilla/4.0,unavailable,200,OBSERVED,-,-",
+      "10000-01-01,00:00:00,82.137.200.44,deadbeef12345678,GET,http,www.example.com,80,/index.html,a=1,html,Mozilla/4.0,unavailable,200,OBSERVED,-,-",
+      "31690708-07-05,01:46:40,82.137.200.44,deadbeef12345678,GET,http,www.example.com,80,/index.html,a=1,html,Mozilla/4.0,unavailable,200,OBSERVED,-,-",
+      "1969-12-31,23:59:59,82.137.200.44,deadbeef12345678,GET,http,www.example.com,80,/index.html,a=1,html,Mozilla/4.0,unavailable,200,OBSERVED,-,-",
+      "-001-06-15,12:00:00,82.137.200.44,deadbeef12345678,GET,http,www.example.com,80,/index.html,a=1,html,Mozilla/4.0,unavailable,200,OBSERVED,-,-",
+      "-12345-01-01,00:00:00,82.137.200.44,deadbeef12345678,GET,http,www.example.com,80,/index.html,a=1,html,Mozilla/4.0,unavailable,200,OBSERVED,-,-",
+      "-1000000000-01-,00:00:00,82.137.200.44,deadbeef12345678,GET,http,www.example.com,80,/index.html,a=1,html,Mozilla/4.0,unavailable,200,OBSERVED,-,-",
+      "2011-08-03,08:15:30,82.137.200.44,deadbeef12345678,GET,http,www.example.com,80,/dir.v2/readme,a=1,-,Mozilla/4.0,unavailable,200,OBSERVED,-,-",
+      "2011-08-03,08:15:30,82.137.200.44,deadbeef12345678,GET,http,www.example.com,80,/file.,a=1,-,Mozilla/4.0,unavailable,200,OBSERVED,-,-",
+      "2011-08-03,08:15:30,82.137.200.44,deadbeef12345678,GET,http,www.example.com,80,/archive.tar.gz,a=1,gz,Mozilla/4.0,unavailable,200,OBSERVED,-,-",
+      "2011-08-03,08:15:30,82.137.200.44,deadbeef12345678,GET,http,www.example.com,80,noslash.txt,a=1,txt,Mozilla/4.0,unavailable,200,OBSERVED,-,-",
+      "2011-08-03,08:15:30,82.137.200.44,deadbeef12345678,GET,http,www.example.com,80,/.hidden,a=1,hidden,Mozilla/4.0,unavailable,200,OBSERVED,-,-",
+      "2011-08-03,08:15:30,82.137.200.44,deadbeef12345678,GET,http,www.example.com,80,\"/a/b.c\"\"d,e\",a=1,\"c\"\"d,e\",Mozilla/4.0,unavailable,200,OBSERVED,-,-",
+      "2011-08-03,08:15:30,82.137.200.44,deadbeef12345678,GET,http,www.example.com,80,/,a=1,-,Mozilla/4.0,unavailable,200,OBSERVED,-,-",
+      "2011-08-03,08:15:30,82.137.200.44,deadbeef12345678,GET,http,www.example.com,80,-,a=1,-,Mozilla/4.0,unavailable,200,OBSERVED,-,-",
+};
+
+TEST(EncoderGolden, EdgeCaseRecordsMatchTheReferenceEncoder) {
+  const std::vector<LogRecord> records = edge_records();
+  ASSERT_EQ(records.size(), kEdgeLines.size());
+  std::string appended = "prefix,";
+  std::string expected = appended;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(to_csv(records[i]), kEdgeLines[i]);
+    append_csv(appended, RecordView{records[i]});
+    appended += '\n';
+    expected += kEdgeLines[i] + '\n';
+  }
+  // append_csv appends: earlier bytes stay, lines concatenate.
+  EXPECT_EQ(appended, expected);
+}
+
+TEST(EncoderGolden, EdgeCaseRecordsRoundTripWhereTheDecoderAccepts) {
+  for (const LogRecord& record : edge_records()) {
+    const util::CivilDateTime c = util::to_civil(record.time);
+    // Outside parse_record's ranges: years before 1970 or past 9999, and
+    // statuses past 999.
+    if (c.year < 1970 || c.year > 9999 || record.status > 999) continue;
+    SCOPED_TRACE(to_csv(record));
+    const auto parsed = from_csv(to_csv(record));
+    ASSERT_TRUE(parsed);
+    EXPECT_EQ(to_csv(*parsed), to_csv(record));
+    if (record.url.path == "-") continue;  // "-" reads back as empty
+    EXPECT_EQ(parsed->url, record.url);
+    EXPECT_EQ(parsed->user_agent, record.user_agent);
+    EXPECT_EQ(parsed->categories, record.categories);
+    EXPECT_EQ(parsed->dest_ip, record.dest_ip);
+  }
+}
+
+TEST(EncoderGolden, WriteLogFileMatchesWriteLog) {
+  const std::vector<LogRecord> records = edge_records();
+  std::ostringstream stream;
+  write_log(stream, records);
+  std::string expected = log_csv_header() + "\n";
+  for (const std::string& line : kEdgeLines) expected += line + "\n";
+  EXPECT_EQ(stream.str(), expected);
+  const std::string path = temp_path("edge_file.csv");
+  write_log_file(path, records);
+  std::ifstream in{path, std::ios::binary};
+  const std::string bytes{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+  EXPECT_EQ(bytes, expected);
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -211,6 +211,15 @@ TEST(Counters, PipelineRelationsHold) {
   EXPECT_GT(stage_count("scenario.generate_shard"), 0u);
   EXPECT_GT(stage_count("scenario.process_proxy_batch"), 0u);
   EXPECT_GT(stage_count("scenario.merge"), 0u);
+  // The sink runs once per batch inside the merge stage's span.
+  EXPECT_EQ(stage_count("scenario.sink"), stage_count("scenario.merge"));
+  const auto stage_nanos = [&](const std::string& name) -> std::uint64_t {
+    for (const auto& entry : snapshot.stages) {
+      if (entry.name == name) return entry.total_nanos;
+    }
+    return 0;
+  };
+  EXPECT_LE(stage_nanos("scenario.sink"), stage_nanos("scenario.merge"));
   EXPECT_EQ(stage_count("study.build_datasets"), 1u);
 }
 

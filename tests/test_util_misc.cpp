@@ -90,6 +90,17 @@ TEST(Csv, EscapeOnlyWhenNeeded) {
   EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
 }
 
+TEST(Csv, AppendFieldQuotesInPlace) {
+  std::string out = "x,";
+  append_csv_field(out, "plain");
+  append_csv_field(out, "");
+  append_csv_field(out, "a\"b\"\"c");
+  append_csv_field(out, "cr\r");
+  append_csv_field(out, "lf\n");
+  EXPECT_EQ(out, "x,plain\"a\"\"b\"\"\"\"c\"\"cr\r\"\"lf\n\"");
+  EXPECT_EQ(csv_escape("\""), "\"\"\"\"");
+}
+
 TEST(Csv, JoinParseRoundTrip) {
   const std::vector<std::string> fields{"a", "b,c", "d\"e", "", "f"};
   const auto line = csv_join(fields);
@@ -130,6 +141,16 @@ TEST(StringPool, ViewsStableAcrossGrowth) {
   for (int i = 0; i < 10000; ++i) pool.intern("filler" + std::to_string(i));
   EXPECT_EQ(view, "stable");
   EXPECT_EQ(pool.view(id).data(), view.data());
+}
+
+TEST(StringPool, EmptyViewInternsToIdZeroWithoutGrowing) {
+  StringPool pool;
+  const auto a = pool.intern("a");
+  EXPECT_EQ(pool.intern(""), StringPool::kEmpty);
+  EXPECT_EQ(pool.intern(std::string_view{}), StringPool::kEmpty);
+  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_EQ(pool.intern("b"), a + 1);  // ids stay dense
+  EXPECT_EQ(pool.lookup(""), StringPool::kEmpty);
 }
 
 TEST(StringPool, LookupWithoutIntern) {

@@ -43,6 +43,15 @@
 #
 #   tools/ci-sanitize.sh 'log_io|strings|stream|storage_chaos|fault|scan_identity|dataset'
 #
+# Every CSV write encodes in place into a reused line buffer
+# (proxy::append_csv), the SYRCOL1 writer's dictionary is the StringPool,
+# the scenario's sink runs after each batch's merge order is fixed, and
+# request_coverage keeps only occupied bins; the encoder and write-path
+# golden tests, the spool and shard merges, the stage split and the
+# coverage tests are their memory and race check:
+#
+#   tools/ci-sanitize.sh 'log_io|colfmt|durable|shard|obs|util_misc|coverage|fault'
+#
 # Build trees live in build-tsan/ and build-asan/ next to the source tree,
 # so a regular build/ directory is left untouched.
 

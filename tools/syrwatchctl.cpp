@@ -538,10 +538,13 @@ int cmd_generate(int argc, char** argv) {
   std::unique_ptr<colfmt::Writer> col;
   if (want_col) col = std::make_unique<colfmt::Writer>(col_path);
   std::uint64_t written = 0;
+  std::string line;
   const auto sink = [&](const proxy::LogRecord& record) {
     if (out) {
-      out->write(proxy::to_csv(record));
-      out->write("\n");
+      line.clear();
+      proxy::append_csv(line, proxy::RecordView{record});
+      line += '\n';
+      out->write(line);
     }
     if (col) col->add(record);
     ++written;
@@ -808,11 +811,14 @@ int cmd_convert(int argc, char** argv) {
     util::AtomicFileWriter out{out_path};
     out.write(proxy::log_csv_header());
     out.write("\n");
+    std::string line;
     for (std::size_t b = 0; b < reader.block_count(); ++b) {
       const auto block = reader.decode(b);
       for (std::size_t r = 0; r < block.rows; ++r) {
-        out.write(proxy::to_csv(reader.record(block, r)));
-        out.write("\n");
+        line.clear();
+        proxy::append_csv(line, reader.record_view(block, r));
+        line += '\n';
+        out.write(line);
         ++rows;
       }
     }
@@ -831,7 +837,7 @@ int cmd_convert(int argc, char** argv) {
     proxy::LineReader lines{in};
     const proxy::StrictRead result = proxy::read_log_strict(
         lines, [&writer](const proxy::RecordView& record) {
-          writer.add(record.to_record());
+          writer.add(record);
         });
     rows = result.records;
     if (result.status == proxy::StrictRead::Status::kBadHeader) {
